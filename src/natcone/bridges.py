@@ -454,52 +454,8 @@ def _rewrite_block(K, opts):
 
 def ef_cone_dims(K, options: EFOptions | None = None):
     """Added dimensions (q_bar, nu_bar, n_bar, p_bar) of the rewrite of one cone."""
-    opts = options or EFOptions()
-    tag = K.tag
-    if tag in _STANDARD_TAGS or (tag == "hypoperlog" and K.d == 1):
-        return (K.dim, K.nu, 0, 0)
-
-    def geo(d):
-        if d == 1:
-            return (2, 2.0, 0, 0)
-        if opts.geomean_mode == "exp":
-            return (2 + 3 * d, float(2 + 3 * d), 1 + d, 0)
-        pad = 1 << max(1, (d - 1).bit_length())
-        return (3 * (pad - 1) + 1, float(2 * (pad - 1) + 1), pad - 1, 0)
-
-    def perlog(d):
-        if d == 1:
-            return (3, 3.0, 0, 0)
-        return (1 + 3 * d, float(1 + 3 * d), d, 0)
-
-    if tag == "epinorminf":
-        return (2 * K.d, float(2 * K.d), 0, 0)
-    if tag == "epinorminfdual":
-        if opts.linf_dual_mode == "split":
-            return (1 + 2 * K.d, float(1 + 2 * K.d), 2 * K.d, K.d)
-        return (1 + 2 * K.d, float(1 + 2 * K.d), K.d, 0)
-    if tag == "epinormspectral":
-        return (sdim(K.r + K.s), float(K.r + K.s), 0, 0)
-    if tag == "epinormspectraldual":
-        return (1 + sdim(K.r + K.s), float(1 + K.r + K.s), sdim(K.r) + sdim(K.s), 0)
-    if tag == "hypogeomean":
-        return geo(K.d)
-    if tag == "hyporootdet":
-        q, nu, n, p = geo(K.d)
-        return (q + sdim(2 * K.d), nu + 2 * K.d, n + sdim(K.d), p)
-    if tag == "hypoperlog":
-        return perlog(K.d)
-    if tag == "hypoperlogdet":
-        q, nu, n, p = perlog(K.d)
-        return (q + sdim(2 * K.d), nu + 2 * K.d, n + sdim(K.d), p)
-    if tag == "wsos":
-        dims = [P.shape[1] for P in K.Ps]
-        tot = sum(sdim(t) for t in dims)
-        return (tot, float(sum(dims)), tot, K.d)
-    if tag == "wsosdual":
-        dims = [P.shape[1] for P in K.Ps]
-        return (sum(sdim(t) for t in dims), float(sum(dims)), 0, 0)
-    raise ValueError(f"no extended formulation for cone kind {tag!r}")
+    bld, _ = _rewrite_block(K, options or EFOptions())
+    return (bld.nrows, float(sum(B.nu for B in bld.cones)), bld.naux, bld.neq)
 
 
 def extend(problem: ConicProblem, options: EFOptions | None = None):

@@ -19,9 +19,7 @@ import math
 
 import numpy as np
 
-from .sym import _svec_indices, sdim, smat, svec
-
-_SQRT2 = math.sqrt(2.0)
+from .sym import sdim, smat, svec, svec_kron
 
 __all__ = [
     "Cone",
@@ -149,9 +147,6 @@ class Cone:
 
     def hess(self, pt: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def hess_prod(self, pt: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.hess(pt) @ np.asarray(v, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +332,7 @@ class PosSemidef(Cone):
 
     def hess(self, s):
         Wi = np.linalg.inv(smat(s))
-        H = np.empty((self.dim, self.dim))
-        rows, cols = _svec_indices(self.d)
-        for k in range(self.dim):
-            i, j = rows[k], cols[k]
-            # direction smat(e_k): scaled basis matrix
-            if i == j:
-                M = np.outer(Wi[:, i], Wi[i, :])
-            else:
-                M = (np.outer(Wi[:, i], Wi[j, :]) + np.outer(Wi[:, j], Wi[i, :])) / _SQRT2
-            H[:, k] = svec(M, sym_tol=np.inf)
-        return 0.5 * (H + H.T)
+        return svec_kron(0.5 * (Wi + Wi.T))
 
 
 # ---------------------------------------------------------------------------
@@ -670,26 +655,11 @@ class HypoRootDet(Cone):
         H[0, 0] = 1.0 / phi**2
         # du column: dR = 0, dphi = -du
         dalpha_du = R / (d * phi**2)
-        H[1:, 0] = H[0, 1:] = -dalpha_du * svec(Wi, sym_tol=np.inf)
-        rows, cols = _svec_indices(d)
-        for k in range(sdim(d)):
-            i, j = rows[k], cols[k]
-            if i == j:
-                dW = np.zeros((d, d))
-                dW[i, i] = 1.0
-            else:
-                dW = np.zeros((d, d))
-                dW[i, j] = dW[j, i] = 1.0 / _SQRT2
-            t = float(np.trace(Wi @ dW))
-            dR = R * t / d
-            dphi = dR
-            dalpha = dR / (d * phi) - R * dphi / (d * phi**2)
-            dgrad_u = -dphi / phi**2
-            WidWWi = Wi @ dW @ Wi
-            dgradW = -dalpha * Wi + (alpha + 1.0) * WidWWi
-            H[0, 1 + k] = dgrad_u
-            H[1:, 1 + k] = svec(dgradW, sym_tol=np.inf)
-        return 0.5 * (H + H.T)
+        sWi = svec(Wi, sym_tol=np.inf)
+        H[1:, 0] = H[0, 1:] = -dalpha_du * sWi
+        # dR = R tr(Wi dW)/d moves alpha by -R u tr(Wi dW)/(d phi)^2
+        H[1:, 1:] = (alpha + 1.0) * svec_kron(Wi) + (R * u / (d * phi) ** 2) * np.outer(sWi, sWi)
+        return H
 
 
 class HypoPerLog(Cone):
@@ -841,19 +811,9 @@ class HypoPerLogDet(Cone):
         H[1, 1] = d / (v * xi) + sigma**2 / xi**2 + 1.0 / v**2
         # d(grad_v) along dW: dsigma = tr(Wi dW), dxi = v tr(Wi dW)
         H[1, 2:] = H[2:, 1] = (-1.0 / xi + sigma * v / xi**2) * sWi
-        rows, cols = _svec_indices(d)
-        for k in range(sdim(d)):
-            i, j = rows[k], cols[k]
-            dW = np.zeros((d, d))
-            if i == j:
-                dW[i, i] = 1.0
-            else:
-                dW[i, j] = dW[j, i] = 1.0 / _SQRT2
-            t = float(np.trace(Wi @ dW))
-            dxi = v * t
-            WidWWi = Wi @ dW @ Wi
-            H[2:, 2 + k] = svec((v * dxi / xi**2) * Wi + (v / xi + 1.0) * WidWWi, sym_tol=np.inf)
-        return 0.5 * (H + H.T)
+        # d(grad_W) along dW: dxi = v tr(Wi dW)
+        H[2:, 2:] = (v / xi + 1.0) * svec_kron(Wi) + (v / xi) ** 2 * np.outer(sWi, sWi)
+        return H
 
 
 # ---------------------------------------------------------------------------

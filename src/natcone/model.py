@@ -36,6 +36,7 @@ __all__ = [
     "svec",
     "smat",
     "validate",
+    "residual_terms",
     "residual_eps",
     "objective_rel_diff",
     "classify_certificate",
@@ -166,14 +167,12 @@ class Certificate:
     residual: float
 
 
-def residual_eps(problem: ConicProblem, point: PrimalDualPoint) -> float:
-    """Normalized convergence residual: max of the four scaled terms.
+def residual_terms(problem: ConicProblem, x, y, z, s):
+    """The four scaled residual terms (t1, t2, t3, t4) at a point.
 
-    The terms are dual equality, primal equality, primal cone rows, and the
-    duality gap, each normalized by 1 plus the magnitude of its data. Returns
-    +inf if any term fails to be finite.
+    They are dual equality, primal equality, primal cone rows, and the
+    duality gap, each normalized by 1 plus the magnitude of its data.
     """
-    x, y, z, s = point.x, point.y, point.z, point.s
     c, b, h = problem.c, problem.b, problem.h
     A, G = problem.A, problem.G
     t1 = _inf_norm(A.T @ y + G.T @ z + c) / (1.0 + _inf_norm(c))
@@ -181,7 +180,15 @@ def residual_eps(problem: ConicProblem, point: PrimalDualPoint) -> float:
     t3 = _inf_norm(-G @ x + h - s) / (1.0 + _inf_norm(h))
     gap = float(b @ y + h @ z)
     t4 = abs(float(c @ x) + gap) / (1.0 + abs(gap))
-    eps = max(t1, t2, t3, t4)
+    return t1, t2, t3, t4
+
+
+def residual_eps(problem: ConicProblem, point: PrimalDualPoint) -> float:
+    """Normalized convergence residual: max of the four ``residual_terms``.
+
+    Returns +inf if any term fails to be finite.
+    """
+    eps = max(residual_terms(problem, point.x, point.y, point.z, point.s))
     return eps if np.isfinite(eps) else float("inf")
 
 

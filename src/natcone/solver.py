@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
-from .model import ConicProblem, PrimalDualPoint, residual_eps
+from .model import ConicProblem, PrimalDualPoint, residual_eps, residual_terms
 
 __all__ = [
     "SolveOptions",
@@ -62,7 +62,6 @@ class SolveOptions:
     min_step: float = 1e-10
     centering_tol: float = 0.25
     max_center_steps: int = 20
-    static_reg: float = 1e-10
     slow_progress_window: int = 20
     slow_progress_factor: float = 0.999
 
@@ -483,6 +482,10 @@ def _proximity(problem, it, oracles, mu):
                 total += float(psi @ (_pd_inverse(0.5 * (H + H.T)) @ psi))
             except _KKTError:
                 return float("inf")
+    # near convergence the block Hessians are so ill-conditioned that
+    # psi' H^-1 psi can round below zero; treat that as far from the center
+    if not total >= 0.0:
+        return float("inf")
     return float(np.sqrt(total)) / mu
 
 
@@ -505,12 +508,9 @@ def check_termination(
         return float(np.max(np.abs(v))) if np.size(v) else 0.0
 
     if it.tau > 1e-6 * max(1.0, it.kappa):
-        xs, ys, zs, ss = it.x / it.tau, it.y / it.tau, it.z / it.tau, it.s / it.tau
-        t1 = inf_norm(A.T @ ys + G.T @ zs + c) / (1.0 + inf_norm(c))
-        t2 = inf_norm(-A @ xs + b) / (1.0 + inf_norm(b))
-        t3 = inf_norm(-G @ xs + h - ss) / (1.0 + inf_norm(h))
-        gap = float(b @ ys + h @ zs)
-        t4 = abs(float(c @ xs) + gap) / (1.0 + abs(gap))
+        t1, t2, t3, t4 = residual_terms(
+            problem, it.x / it.tau, it.y / it.tau, it.z / it.tau, it.s / it.tau
+        )
         if max(t1, t2, t3) <= options.tol_feas and t4 <= options.tol_gap:
             return SolveStatus.OPTIMAL
 

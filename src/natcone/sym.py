@@ -57,6 +57,21 @@ def svec(S: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
     return out
 
 
+def svec_kron(S: np.ndarray) -> np.ndarray:
+    """Matrix of the map svec(D) -> svec(S D S) for symmetric S.
+
+    This is the symmetric Kronecker product of S with itself in svec
+    coordinates; with S = inv(W) it is the Hessian of -logdet(W). The result
+    is exactly symmetric when S is.
+    """
+    S = np.asarray(S, dtype=float)
+    rows, cols = _svec_indices(S.shape[0])
+    w = np.where(rows < cols, _SQRT2, 1.0)
+    r, c = rows[:, None], cols[:, None]
+    K = 0.5 * (S[r, rows] * S[c, cols] + S[r, cols] * S[c, rows])
+    return K * np.outer(w, w)
+
+
 def smat(w: np.ndarray) -> np.ndarray:
     """Inverse of svec: rebuild the symmetric matrix from its vectorization."""
     w = np.asarray(w, dtype=float).ravel()

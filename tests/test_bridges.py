@@ -31,7 +31,7 @@ def one_block_problem(K, seed=0):
 
 def sweep_catalog():
     out = []
-    for d in range(2, 9):
+    for d in range(1, 9):
         out += [C.EpiNormInf(d), C.EpiNormInfDual(d), C.HypoGeomean(d),
                 C.HypoRootDet(d), C.HypoPerLog(d), C.HypoPerLogDet(d)]
     for r in range(2, 9):
@@ -56,6 +56,8 @@ class TestDimensionLaw:
         assert ef_cone_dims(C.EpiNormInfDual(3), EXP) == (7, 7.0, 6, 3)
         assert ef_cone_dims(C.EpiNormInfDual(3), SLACK) == (7, 7.0, 3, 0)
         assert ef_cone_dims(C.HypoPerLog(3), EXP) == (10, 10.0, 3, 0)
+        # side 1: PSD(2) pairing rows, then one theta row and one exponential triple
+        assert ef_cone_dims(C.HypoPerLogDet(1), EXP) == (7, 6.0, 2, 0)
         ip = build_interp(1, 2)
         tl = [P.shape[1] for P in ip.P]
         assert ef_cone_dims(C.Wsos(ip.P), EXP) == (

@@ -13,7 +13,7 @@ from natcone.cones import (
     make_cone,
 )
 from natcone.interp import build_interp
-from natcone.sym import svec
+from natcone.sym import sdim, smat, svec
 
 
 class TestMakeCone:
@@ -203,6 +203,54 @@ class TestOracleProperties:
                 assert K.in_interior(-g), K.tag
             else:
                 assert K.in_dual_interior(-g), K.tag
+
+
+def _loop_w_block(K, pt):
+    """Matrix block of the Hessian, one column per svec basis direction E_k.
+
+    Column k is svec of the derivative of the matrix part of the gradient
+    along E_k, written with the chain rule as the direct reference for the
+    closed-form Hessians.
+    """
+    d = K.d
+    W = smat(pt[K.dim - sdim(d):])
+    Wi = np.linalg.inv(W)
+    Wi = 0.5 * (Wi + Wi.T)
+    logdet = np.linalg.slogdet(W)[1]
+    cols = []
+    for k in range(sdim(d)):
+        E = smat(np.eye(sdim(d))[k])
+        t = np.trace(Wi @ E)
+        WEW = Wi @ E @ Wi
+        if K.tag == "possemidef":
+            col = WEW
+        elif K.tag == "hyporootdet":
+            u, R = pt[0], np.exp(logdet / d)
+            phi = R - u
+            dR = R * t / d
+            dalpha = dR / (d * phi) - R * dR / (d * phi**2)
+            col = -dalpha * Wi + (R / (d * phi) + 1.0) * WEW
+        else:
+            u, v = pt[0], pt[1]
+            xi = v * (logdet - d * np.log(v)) - u
+            col = (v * v * t / xi**2) * Wi + (v / xi + 1.0) * WEW
+        cols.append(svec(col, sym_tol=np.inf))
+    return np.column_stack(cols)
+
+
+class TestPsdHessianReference:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("kind", [C.PosSemidef, C.HypoRootDet, C.HypoPerLogDet])
+    def test_matrix_block_matches_column_loop(self, kind, d):
+        K = kind(d)
+        rng = np.random.default_rng(40 + d)
+        for _ in range(3):
+            pt = sample_barrier_point(K, rng)
+            H = K.hess(pt)
+            off = K.dim - sdim(d)
+            want = _loop_w_block(K, pt)
+            assert np.array_equal(H, H.T)
+            assert np.max(np.abs(H[off:, off:] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestWsosSpecifics:

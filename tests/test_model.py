@@ -18,6 +18,7 @@ from natcone.model import (
     svec,
     validate,
 )
+from natcone.sym import svec_kron
 
 
 def lp_min_x_geq_1():
@@ -75,6 +76,18 @@ class TestSvecSmat:
     def test_smat_rejects_bad_length(self):
         with pytest.raises(ValueError):
             smat(np.ones(5))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_svec_kron_is_congruence(self, d):
+        rng = np.random.default_rng(3 + d)
+        R = rng.standard_normal((d, d))
+        S = R + R.T
+        for _ in range(5):
+            D = rng.standard_normal((d, d))
+            D = D + D.T
+            want = svec(S @ D @ S, sym_tol=np.inf)
+            got = svec_kron(S) @ svec(D)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestValidate:

@@ -1,0 +1,37 @@
+"""The benchmark tracer keeps working against the package it patches.
+
+``perfbench/spans.py`` wraps ``solver.compute_directions``, ``solver.sla``'s
+factorizations, ``cones.svec`` and every public cone method by attribute
+name, so a refactor that renames or drops one of them breaks traced benchmark
+runs. The tracer is loaded here read-only and wrapped around one small PSD
+solve.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from natcone import solver
+from natcone.bench import InstanceSpec, build_instance
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_solve_matches_untraced():
+    spans = load_spans()
+    problem, _ = build_instance(InstanceSpec("expdesign", 3, None, "rt", 0, "ef-exp"))
+    plain = solver.solve(problem)
+    original = solver.compute_directions
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = solver.solve(problem)
+    assert solver.compute_directions is original
+    assert (traced.iterations, traced.primal_obj) == (plain.iterations, plain.primal_obj)
+    for name in ("solver.directions", "linalg.lu_factor", "sym.svec", "cones.possemidef.hess"):
+        assert tracer.calls[name] > 0, name

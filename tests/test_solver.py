@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import sample_barrier_point
 from natcone import cones as C
+from natcone.bench import InstanceSpec, build_instance
 from natcone.model import ConicProblem, classify_certificate, CertificateKind, residual_eps
 from natcone.solver import (
     Direction,
@@ -292,6 +295,17 @@ class TestSolve:
         opts = SolveOptions(slow_progress_factor=1e-2, slow_progress_window=2)
         res = solve(random_feasible([C.EpiNorm2(3)], seed=2), opts)
         assert res.status is SolveStatus.SLOW_PROGRESS
+
+    def test_ill_conditioned_proximity_is_silent(self):
+        # near mu = 1e-9 a PSD block's Hessian has condition ~1e19 and the
+        # proximity sum can round below zero; that must read as "not centered"
+        # without a sqrt-of-negative warning or a change of path
+        prob, _ = build_instance(InstanceSpec("expdesign", 8, None, "rt", 3, "ef-exp"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(prob)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.iterations == 18
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
