@@ -38,9 +38,6 @@ __all__ = [
     "Wsos",
     "WsosDual",
     "make_cone",
-    "initial_point",
-    "in_interior",
-    "in_dual_interior",
     "barrier_grad",
     "barrier_hess",
     "NotInteriorError",
@@ -1015,18 +1012,6 @@ def make_cone(tag: str, **params) -> Cone:
     except KeyError:
         raise ValueError(f"unknown cone tag {tag!r}") from None
     return cls(**params)
-
-
-def initial_point(cone: Cone) -> np.ndarray:
-    return cone.initial_point()
-
-
-def in_interior(cone: Cone, s: np.ndarray) -> bool:
-    return cone.in_interior(s)
-
-
-def in_dual_interior(cone: Cone, z: np.ndarray) -> bool:
-    return cone.in_dual_interior(z)
 
 
 def _require_domain(cone: Cone, pt: np.ndarray):

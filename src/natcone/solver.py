@@ -70,10 +70,24 @@ class SolveOptions:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not self.time_limit >= 0.0:
+            raise ValueError("time_limit must be >= 0")
         if not (0.0 < self.neighborhood_beta < 1.0):
             raise ValueError("neighborhood_beta must lie in (0, 1)")
         if not (0.0 < self.step_backtrack < 1.0):
             raise ValueError("step_backtrack must lie in (0, 1)")
+        if self.max_backtracks < 1:
+            raise ValueError("max_backtracks must be >= 1")
+        if not self.min_step > 0.0:
+            raise ValueError("min_step must be positive")
+        if not self.centering_tol > 0.0:
+            raise ValueError("centering_tol must be positive")
+        if self.max_center_steps < 0:
+            raise ValueError("max_center_steps must be >= 0")
+        if self.slow_progress_window < 1:
+            raise ValueError("slow_progress_window must be >= 1")
+        if not (0.0 < self.slow_progress_factor <= 1.0):
+            raise ValueError("slow_progress_factor must lie in (0, 1]")
 
 
 @dataclass
@@ -84,11 +98,6 @@ class HSDEIterate:
     tau: float
     s: np.ndarray
     kappa: float
-
-    def copy(self):
-        return HSDEIterate(
-            self.x.copy(), self.y.copy(), self.z.copy(), self.tau, self.s.copy(), self.kappa
-        )
 
 
 @dataclass
@@ -166,28 +175,12 @@ class _KKTError(RuntimeError):
     pass
 
 
-def _pd_inverse(Hs: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix.
-
-    Barrier Hessians develop condition numbers near 1/mu^2 close to
-    convergence, where Cholesky can report numerical indefiniteness; fall
-    back to an eigendecomposition with a relative eigenvalue floor (the
-    direction is then repaired by iterative refinement).
-    """
-    try:
-        cho = sla.cho_factor(Hs)
-        return sla.cho_solve(cho, np.eye(Hs.shape[0]))
-    except sla.LinAlgError:
-        pass
-    w, V = np.linalg.eigh(Hs)
-    if not np.all(np.isfinite(w)) or w.max() <= 0.0:
-        raise _KKTError("barrier Hessian is not positive definite")
-    w = np.maximum(w, 1e-16 * w.max())
-    return (V / w) @ V.T
-
-
 class _Oracles:
-    """Per-iterate barrier evaluations shared by direction and proximity code."""
+    """Barrier gradients and Hessians of every block at one iterate.
+
+    ``solve`` evaluates them once per iterate and hands the same object to
+    the proximity check and to the direction computed at that iterate.
+    """
 
     def __init__(self, problem: ConicProblem, it: HSDEIterate):
         self.problem = problem
@@ -377,16 +370,20 @@ class _KKTSystem:
         return d
 
 
-def compute_directions(problem: ConicProblem, it: HSDEIterate, target: str) -> Direction:
+def compute_directions(
+    problem: ConicProblem, it: HSDEIterate, target: str, oracles: _Oracles | None = None
+) -> Direction:
     """Newton direction on the homogeneous model for the given target.
 
     ``target='predict'`` drives residuals and complementarity toward zero;
     ``target='center'`` holds the residuals and drives the complementarity
-    rows to their mu-centered values.
+    rows to their mu-centered values. ``oracles`` are the barrier oracles
+    at ``it``; they are evaluated here when not given.
     """
     if target not in ("predict", "center"):
         raise ValueError(f"unknown target {target!r}")
-    oracles = _Oracles(problem, it)
+    if oracles is None:
+        oracles = _Oracles(problem, it)
     mu = mu_of(problem, it)
     kkt = _KKTSystem(problem, it, oracles, mu)
     r5, r6 = _complementarity_rhs(problem, it, oracles, mu, target)
@@ -474,14 +471,19 @@ def _proximity(problem, it, oracles, mu):
     total = (it.tau * it.kappa - mu) ** 2
     for K, sl, g, H in zip(problem.cones, oracles.slices, oracles.grads, oracles.hesses):
         psi = (it.s[sl] if K.uses_dual_barrier else it.z[sl]) + mu * g
+        Hs = 0.5 * (H + H.T)
         try:
-            cho = sla.cho_factor(0.5 * (H + H.T))
+            cho = sla.cho_factor(Hs)
             total += float(psi @ sla.cho_solve(cho, psi))
         except sla.LinAlgError:
-            try:
-                total += float(psi @ (_pd_inverse(0.5 * (H + H.T)) @ psi))
-            except _KKTError:
+            # Hessian condition nears 1/mu^2 close to convergence, where
+            # Cholesky can report numerical indefiniteness: invert through
+            # the eigendecomposition with a relative eigenvalue floor
+            w, V = np.linalg.eigh(Hs)
+            if not np.all(np.isfinite(w)) or w.max() <= 0.0:
                 return float("inf")
+            w = np.maximum(w, 1e-16 * w.max())
+            total += float(psi @ (((V / w) @ V.T) @ psi))
     # near convergence the block Hessians are so ill-conditioned that
     # psi' H^-1 psi can round below zero; treat that as far from the center
     if not total >= 0.0:
@@ -579,6 +581,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
     it = hsde_init(problem)
     mu_hist = [mu_of(problem, it)]
     stall_count = 0
+    oracles = None  # barrier oracles at ``it`` once evaluated, else None
 
     for outer in range(1, options.max_iters + 1):
         status = check_termination(problem, it, options)
@@ -588,13 +591,13 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
             return _finish(problem, it, SolveStatus.TIME_LIMIT, outer - 1, t0, mu_hist)
 
         try:
-            d = compute_directions(problem, it, "predict")
+            d = compute_directions(problem, it, "predict", oracles)
             alpha = line_search(problem, it, d, options, enforce_neighborhood=True)
             if alpha <= 0.0:
                 return _finish(
                     problem, it, SolveStatus.NUMERICAL_ERROR, outer - 1, t0, mu_hist
                 )
-            it = _step(it, d, alpha)
+            it, oracles = _step(it, d, alpha), None
             status = check_termination(problem, it, options)
             if status is not None:
                 return _finish(problem, it, status, outer, t0, mu_hist)
@@ -606,11 +609,11 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
                     break
                 if _proximity(problem, it, oracles, mu) <= options.centering_tol:
                     break
-                dc = compute_directions(problem, it, "center")
+                dc = compute_directions(problem, it, "center", oracles)
                 ac = line_search(problem, it, dc, options, enforce_neighborhood=False)
                 if ac <= 0.0:
                     break
-                it = _step(it, dc, ac)
+                it, oracles = _step(it, dc, ac), None
         except _KKTError:
             return _finish(problem, it, SolveStatus.NUMERICAL_ERROR, outer, t0, mu_hist)
 

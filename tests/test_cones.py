@@ -7,9 +7,6 @@ from natcone.cones import (
     NotInteriorError,
     barrier_grad,
     barrier_hess,
-    in_dual_interior,
-    in_interior,
-    initial_point,
     make_cone,
 )
 from natcone.interp import build_interp
@@ -63,30 +60,30 @@ class TestMakeCone:
 class TestMembership:
     def test_epinorminf_examples(self):
         K = C.EpiNormInf(2)
-        assert in_interior(K, [1.0, 0.5, -0.5])
-        assert not in_interior(K, [1.0, 1.0, 0.0])  # boundary
+        assert K.in_interior([1.0, 0.5, -0.5])
+        assert not K.in_interior([1.0, 1.0, 0.0])  # boundary
 
     def test_hyporootdet_example(self):
         K = C.HypoRootDet(2)
-        assert in_interior(K, np.concatenate(([0.5], svec(np.eye(2)))))
+        assert K.in_interior(np.concatenate(([0.5], svec(np.eye(2)))))
 
     def test_hypoperlog_examples(self):
         K = C.HypoPerLog(2)
-        assert in_interior(K, [-3.0, 1.0, 1.0, 1.0])
-        assert not in_interior(K, [0.1, 1.0, 1.0, 1.0])
+        assert K.in_interior([-3.0, 1.0, 1.0, 1.0])
+        assert not K.in_interior([0.1, 1.0, 1.0, 1.0])
 
     def test_dual_membership_examples(self):
-        assert in_dual_interior(C.Nonneg(1), [1.0])
-        assert in_dual_interior(C.EpiNormInf(2), [1.0, 0.4, 0.4])
-        assert not in_dual_interior(C.EpiNormInf(2), [1.0, 0.8, 0.4])
+        assert C.Nonneg(1).in_dual_interior([1.0])
+        assert C.EpiNormInf(2).in_dual_interior([1.0, 0.4, 0.4])
+        assert not C.EpiNormInf(2).in_dual_interior([1.0, 0.8, 0.4])
 
     def test_initial_points_interior(self):
         for K in small_catalog():
-            assert in_interior(K, initial_point(K)), K.tag
+            assert K.in_interior(K.initial_point()), K.tag
 
     def test_initial_point_values(self):
-        np.testing.assert_allclose(initial_point(C.Nonneg(3)), [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(initial_point(C.EpiNorm2(2)), [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(C.Nonneg(3).initial_point(), [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(C.EpiNorm2(2).initial_point(), [1.0, 0.0, 0.0])
 
     def test_boundary_points_excluded(self):
         rng = np.random.default_rng(5)
@@ -98,7 +95,7 @@ class TestMembership:
                 assert not K.in_interior(pt), K.tag
 
     def test_wrong_length_rejected(self):
-        assert not in_interior(C.Nonneg(3), np.ones(2))
+        assert not C.Nonneg(3).in_interior(np.ones(2))
 
 
 class TestGradExamples:

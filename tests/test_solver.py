@@ -5,6 +5,7 @@ import pytest
 
 from conftest import sample_barrier_point
 from natcone import cones as C
+from natcone import solver
 from natcone.bench import InstanceSpec, build_instance
 from natcone.model import ConicProblem, classify_certificate, CertificateKind, residual_eps
 from natcone.solver import (
@@ -316,3 +317,47 @@ class TestSolve:
             SolveOptions(neighborhood_beta=1.5)
         with pytest.raises(ValueError):
             SolveOptions(step_backtrack=0.0)
+        with pytest.raises(ValueError):
+            SolveOptions(time_limit=-1.0)
+        with pytest.raises(ValueError):
+            SolveOptions(time_limit=float("nan"))
+        with pytest.raises(ValueError):
+            SolveOptions(max_backtracks=0)
+        with pytest.raises(ValueError):
+            SolveOptions(min_step=0.0)
+        with pytest.raises(ValueError):
+            SolveOptions(centering_tol=0.0)
+        with pytest.raises(ValueError):
+            SolveOptions(max_center_steps=-1)
+        with pytest.raises(ValueError):
+            SolveOptions(slow_progress_window=0)
+        with pytest.raises(ValueError):
+            SolveOptions(slow_progress_factor=0.0)
+        with pytest.raises(ValueError):
+            SolveOptions(slow_progress_factor=1.5)
+        # boundary values that stay legal
+        SolveOptions(time_limit=0.0, max_center_steps=0, slow_progress_factor=1.0)
+
+    def test_one_oracle_evaluation_per_iterate(self, monkeypatch):
+        keys = []
+
+        class Recording(solver._Oracles):
+            def __init__(self, problem, it):
+                keys.append((it.s.tobytes(), it.z.tobytes(), it.tau, it.kappa))
+                super().__init__(problem, it)
+
+        monkeypatch.setattr(solver, "_Oracles", Recording)
+        prob, _ = build_instance(InstanceSpec("expdesign", 3, None, "rt", 0, "ef-exp"))
+        res = solve(prob)
+        assert res.status is SolveStatus.OPTIMAL
+        assert keys and len(set(keys)) == len(keys)
+
+        # directions from given oracles equal those evaluated inside
+        it = hsde_init(prob)
+        d0 = compute_directions(prob, it, "predict")
+        it = solver._step(it, d0, line_search(prob, it, d0, SolveOptions()))
+        for target in ("predict", "center"):
+            a = compute_directions(prob, it, target)
+            b = compute_directions(prob, it, target, solver._Oracles(prob, it))
+            for u, v in zip(vars(a).values(), vars(b).values()):
+                assert np.array_equal(u, v), target
