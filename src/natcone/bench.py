@@ -112,6 +112,8 @@ class InstanceSpec:
             raise ValueError(f"unknown form {self.form!r}")
         if fam == "expdesign" and self.variant not in ("rt", "log"):
             raise ValueError("expdesign requires variant 'rt' or 'log'")
+        if fam in ("matcompletion", "matregression", "polymin") and self.m is None:
+            raise ValueError(f"{fam} requires m")
 
 
 @dataclass

@@ -39,15 +39,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    spec = InstanceSpec(
-        family=args.family,
-        k=args.k,
-        m=args.m,
-        variant=args.variant,
-        seed=args.seed,
-        form=args.form,
-    )
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    try:
+        spec = InstanceSpec(
+            family=args.family,
+            k=args.k,
+            m=args.m,
+            variant=args.variant,
+            seed=args.seed,
+            form=args.form,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
     options = SolveOptions(
         tol_feas=args.tol,
         tol_gap=args.tol,

@@ -40,6 +40,7 @@ __all__ = [
     "make_cone",
     "barrier_grad",
     "barrier_hess",
+    "wsos_basis",
     "NotInteriorError",
 ]
 
@@ -896,6 +897,11 @@ class WsosDual(Cone):
         return H
 
 
+def wsos_basis(P):
+    """Rows svec(p_u p_u') for the rows p_u of P: the linear map Th -> diag(P Th P')."""
+    return np.stack([svec(np.outer(p, p), sym_tol=np.inf) for p in P])
+
+
 def _wsos_primal_margins(Ps, w):
     """Largest t with w = sum_l diag(P_l Th_l P_l'), Th_l - t I psd, via an auxiliary solve."""
     from .model import ConicProblem  # deferred: avoids an import cycle
@@ -908,8 +914,7 @@ def _wsos_primal_margins(Ps, w):
     A = np.zeros((U, n))
     off = 1
     for P, dd in zip(Ps, dims):
-        B = np.stack([svec(np.outer(P[u], P[u]), sym_tol=np.inf) for u in range(U)])
-        A[:, off : off + dd] = B
+        A[:, off : off + dd] = wsos_basis(P)
         off += dd
     c = np.zeros(n)
     c[0] = -1.0  # maximize t

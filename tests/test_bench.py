@@ -217,6 +217,9 @@ class TestRunMatrix:
             InstanceSpec("portfolio", k=4, form="dual")
         with pytest.raises(ValueError):
             InstanceSpec("expdesign", k=4)
+        for family in ("matcompletion", "matregression", "polymin"):
+            with pytest.raises(ValueError, match="requires m"):
+                InstanceSpec(family, k=3)
         spec = InstanceSpec("expdesign-log", k=4)
         assert spec.family == "expdesign" and spec.variant == "log"
 
@@ -246,3 +249,17 @@ class TestCli:
 
         code = main(["polymin", "--k", "2", "--m", "1", "--seed", "0"])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["matcompletion", "--k", "3"], "requires m"), (["expdesign", "--k", "3"], "variant")],
+    )
+    def test_invalid_instance_is_usage_error(self, capsys, argv, message):
+        from natcone.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err

@@ -199,7 +199,7 @@ class TestFeasibilityPreservation:
             if ef.p:
                 np.testing.assert_allclose(ef.A @ xeq, ef.b, atol=1e-9)
             # and the recovered block value matches s
-            back_s = mapping.blocks[0].recover(rows, aux)
+            back_s = map_back(mapping, PrimalDualPoint(xeq, np.zeros(ef.p), np.zeros(ef.q), rows)).s
             np.testing.assert_allclose(back_s, s, atol=1e-8)
 
     def test_wsos_roundtrip_with_known_certificate(self):
@@ -223,18 +223,33 @@ class TestFeasibilityPreservation:
         np.testing.assert_allclose(ef.A @ xeq, ef.b, atol=1e-10)
         for blk, sl in zip(ef.cones, ef.cone_slices()):
             assert blk.in_closure(rows[sl], 1e-9)
-        back_s = mapping.blocks[0].recover(rows, np.concatenate(aux))
+        back_s = map_back(mapping, PrimalDualPoint(xeq, np.zeros(ef.p), np.zeros(ef.q), rows)).s
         np.testing.assert_allclose(back_s, w, atol=1e-8)
 
 
 class TestRecoverContracts:
+    @pytest.mark.parametrize("opts", [EXP, SEC, SLACK], ids=["exp", "sec", "slack"])
+    def test_roundtrip_recovers_block_value(self, opts):
+        rng = np.random.default_rng(40)
+        standard = [C.Nonneg(3), C.EpiNorm2(2), C.EpiPerSquare(2), C.PosSemidef(2), C.HypoPerLog(1)]
+        for K in sweep_catalog() + standard:
+            prob = one_block_problem(K)
+            ef, mapping = extend(prob, opts)
+            x = rng.standard_normal(prob.n)
+            xe = np.concatenate((x, rng.standard_normal(ef.n - prob.n)))
+            if ef.p:  # move the auxiliaries onto the block's equality rows
+                xe[prob.n :] += np.linalg.lstsq(ef.A[:, prob.n :], ef.b - ef.A @ xe, rcond=None)[0]
+                np.testing.assert_allclose(ef.A @ xe, ef.b, atol=1e-10)
+            back = map_back(mapping, PrimalDualPoint(xe, np.zeros(ef.p), np.zeros(ef.q), ef.h - ef.G @ xe))
+            np.testing.assert_allclose(back.s, prob.h - prob.G @ x, rtol=0, atol=1e-10, err_msg=repr(K))
+
     def test_epinorminf_halfsum_recovery(self):
         K = C.EpiNormInf(3)
         prob = one_block_problem(K, 5)
         ef, mapping = extend(prob, EXP)
         rng = np.random.default_rng(9)
         rows = rng.uniform(0.0, 1.0, ef.q)  # any nonnegative row values
-        s = mapping.blocks[0].recover(rows, np.zeros(0))
+        s = map_back(mapping, PrimalDualPoint(np.zeros(ef.n), [], np.zeros(ef.q), rows)).s
         u, w = s[0], s[1:]
         assert u >= np.max(np.abs(w)) - 1e-12
 
