@@ -146,6 +146,13 @@ class Cone:
     def hess(self, pt: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def inv_hess_quad(self, pt: np.ndarray, v: np.ndarray) -> float | None:
+        """v' H(pt)^-1 v in closed form, or None where the cone has none.
+
+        A closed form returns inf when it cannot factor the point.
+        """
+        return None
+
 
 # ---------------------------------------------------------------------------
 # symmetric / standard cones
@@ -183,6 +190,10 @@ class Nonneg(Cone):
 
     def hess(self, w):
         return np.diag(1.0 / np.asarray(w, dtype=float) ** 2)
+
+    def inv_hess_quad(self, w, v):
+        wv = np.asarray(w, dtype=float) * v
+        return float(wv @ wv)
 
 
 class EpiNorm2(Cone):
@@ -331,6 +342,15 @@ class PosSemidef(Cone):
     def hess(self, s):
         Wi = np.linalg.inv(smat(s))
         return svec_kron(0.5 * (Wi + Wi.T))
+
+    def inv_hess_quad(self, s, v):
+        # H(s)^-1 maps svec(V) to svec(W V W), so with W = L L' the form is
+        # tr(W V W V) = ||L' V L||_F^2
+        L = _posdef_chol(smat(s))
+        if L is None:
+            return float("inf")
+        M = L.T @ smat(v) @ L
+        return float(np.sum(M * M))
 
 
 # ---------------------------------------------------------------------------

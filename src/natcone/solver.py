@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
+from .cones import NotInteriorError
 from .model import ConicProblem, PrimalDualPoint, residual_eps, residual_terms
 
 __all__ = [
@@ -175,11 +176,26 @@ class _KKTError(RuntimeError):
     pass
 
 
+def _barrier_point(K, sl, it):
+    """The block of ``it`` on which the block's barrier is evaluated."""
+    return it.z[sl] if K.uses_dual_barrier else it.s[sl]
+
+
+def _check_domain(problem: ConicProblem, it: HSDEIterate):
+    for K, sl in zip(problem.cones, problem.cone_slices()):
+        if not K.barrier_domain_ok(_barrier_point(K, sl, it)):
+            raise _KKTError("iterate left the barrier domain")
+
+
 class _Oracles:
     """Barrier gradients and Hessians of every block at one iterate.
 
     ``solve`` evaluates them once per iterate and hands the same object to
-    the proximity check and to the direction computed at that iterate.
+    the proximity check and to the direction computed at that iterate. They
+    do not test the barrier domain: the line search's interiority test on
+    each block's barrier side is that test for every iterate it accepts, so
+    ``solve`` tests only its initial iterate. An oracle that still fails
+    raises _KKTError.
     """
 
     def __init__(self, problem: ConicProblem, it: HSDEIterate):
@@ -187,12 +203,13 @@ class _Oracles:
         self.slices = problem.cone_slices()
         self.grads = []
         self.hesses = []
-        for K, sl in zip(problem.cones, self.slices):
-            pt = it.z[sl] if K.uses_dual_barrier else it.s[sl]
-            if not K.barrier_domain_ok(pt):
-                raise _KKTError("iterate left the barrier domain")
-            self.grads.append(K.grad(pt))
-            self.hesses.append(K.hess(pt))
+        try:
+            for K, sl in zip(problem.cones, self.slices):
+                pt = _barrier_point(K, sl, it)
+                self.grads.append(K.grad(pt))
+                self.hesses.append(K.hess(pt))
+        except (NotInteriorError, np.linalg.LinAlgError) as exc:
+            raise _KKTError("barrier oracle failed") from exc
 
 
 def _complementarity_rhs(problem, it, oracles, mu, target):
@@ -378,11 +395,13 @@ def compute_directions(
     ``target='predict'`` drives residuals and complementarity toward zero;
     ``target='center'`` holds the residuals and drives the complementarity
     rows to their mu-centered values. ``oracles`` are the barrier oracles
-    at ``it``; they are evaluated here when not given.
+    at ``it``; when they are not given, ``it`` is tested for the barrier
+    domain and they are evaluated here.
     """
     if target not in ("predict", "center"):
         raise ValueError(f"unknown target {target!r}")
     if oracles is None:
+        _check_domain(problem, it)
         oracles = _Oracles(problem, it)
     mu = mu_of(problem, it)
     kkt = _KKTSystem(problem, it, oracles, mu)
@@ -467,10 +486,18 @@ def line_search(
 
 
 def _proximity(problem, it, oracles, mu):
-    """Scaled distance to the mu-center, measured in the local Hessian norms."""
+    """Scaled distance to the mu-center, measured in the local Hessian norms.
+
+    A block's term psi' H^-1 psi comes from the cone's closed form where it
+    has one (nonneg and PSD blocks); every other block factors its Hessian.
+    """
     total = (it.tau * it.kappa - mu) ** 2
     for K, sl, g, H in zip(problem.cones, oracles.slices, oracles.grads, oracles.hesses):
         psi = (it.s[sl] if K.uses_dual_barrier else it.z[sl]) + mu * g
+        quad = K.inv_hess_quad(_barrier_point(K, sl, it), psi)
+        if quad is not None:
+            total += quad
+            continue
         Hs = 0.5 * (H + H.T)
         try:
             cho = sla.cho_factor(Hs)
@@ -591,6 +618,11 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
             return _finish(problem, it, SolveStatus.TIME_LIMIT, outer - 1, t0, mu_hist)
 
         try:
+            if oracles is None:
+                # every later iterate passed the line search's domain test
+                if outer == 1:
+                    _check_domain(problem, it)
+                oracles = _Oracles(problem, it)
             d = compute_directions(problem, it, "predict", oracles)
             alpha = line_search(problem, it, d, options, enforce_neighborhood=True)
             if alpha <= 0.0:

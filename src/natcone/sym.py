@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,10 +25,14 @@ def tri_side(length: int) -> int:
     return d
 
 
+@lru_cache(maxsize=None)
 def _svec_indices(d: int):
     # column-stacked upper triangle: (0,0), (0,1), (1,1), (0,2), (1,2), (2,2), ...
+    # Cached per side and shared by every caller, so the arrays are read-only.
     rows = np.concatenate([np.arange(j + 1) for j in range(d)])
     cols = np.concatenate([np.full(j + 1, j, dtype=int) for j in range(d)])
+    rows.flags.writeable = False
+    cols.flags.writeable = False
     return rows, cols
 
 
@@ -67,8 +72,10 @@ def svec_kron(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     rows, cols = _svec_indices(S.shape[0])
     w = np.where(rows < cols, _SQRT2, 1.0)
-    r, c = rows[:, None], cols[:, None]
-    K = 0.5 * (S[r, rows] * S[c, cols] + S[r, cols] * S[c, rows])
+    # K[a, b] = (S[ra, rb] S[ca, cb] + S[ra, cb] S[ca, rb]) / 2, gathered as
+    # row subsets of the two d-by-sdim column slabs
+    X, Y = S[:, rows], S[:, cols]
+    K = 0.5 * (X[rows] * Y[cols] + Y[rows] * X[cols])
     return K * np.outer(w, w)
 
 

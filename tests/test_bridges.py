@@ -244,14 +244,18 @@ class TestRecoverContracts:
             np.testing.assert_allclose(back.s, prob.h - prob.G @ x, rtol=0, atol=1e-10, err_msg=repr(K))
 
     def test_epinorminf_halfsum_recovery(self):
+        # s = x, so the ef rows of x are the rows the rewrite sends s to
         K = C.EpiNormInf(3)
-        prob = one_block_problem(K, 5)
+        prob = ConicProblem(np.zeros(K.dim), np.zeros((0, K.dim)), [], -np.eye(K.dim), np.zeros(K.dim), [K])
         ef, mapping = extend(prob, EXP)
-        rng = np.random.default_rng(9)
-        rows = rng.uniform(0.0, 1.0, ef.q)  # any nonnegative row values
-        s = map_back(mapping, PrimalDualPoint(np.zeros(ef.n), [], np.zeros(ef.q), rows)).s
-        u, w = s[0], s[1:]
-        assert u >= np.max(np.abs(w)) - 1e-12
+        assert ef.n == prob.n and ef.p == 0
+        for seed in range(200):
+            pt = sample_barrier_point(K, np.random.default_rng(seed))
+            rows = ef.h - ef.G @ pt
+            assert ef.cones[0].in_interior(rows), seed
+            s = map_back(mapping, PrimalDualPoint(pt, [], np.zeros(ef.q), rows)).s
+            np.testing.assert_allclose(s, pt, rtol=0, atol=1e-12, err_msg=str(seed))
+            assert K.in_interior(s), seed
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

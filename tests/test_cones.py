@@ -250,6 +250,27 @@ class TestPsdHessianReference:
             assert np.max(np.abs(H[off:, off:] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestInverseHessianQuad:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("kind", [C.Nonneg, C.PosSemidef])
+    def test_closed_form_matches_dense_solve(self, kind, d):
+        K = kind(d)
+        rng = np.random.default_rng(60 + d)
+        for _ in range(3):
+            pt = sample_barrier_point(K, rng)
+            v = rng.standard_normal(K.dim)
+            want = v @ np.linalg.solve(K.hess(pt), v)
+            assert abs(K.inv_hess_quad(pt, v) - want) <= 1e-10 * abs(want)
+
+    def test_psd_outside_domain_is_inf(self):
+        K = C.PosSemidef(2)
+        assert K.inv_hess_quad(svec(-np.eye(2)), np.ones(3)) == np.inf
+
+    def test_other_cones_have_no_closed_form(self):
+        K = C.EpiNorm2(2)
+        assert K.inv_hess_quad(K.initial_point(), np.ones(3)) is None
+
+
 class TestWsosSpecifics:
     def test_wsosdual_pivot_threshold_boundary(self):
         ip = build_interp(1, 2)

@@ -18,7 +18,7 @@ from natcone.model import (
     svec,
     validate,
 )
-from natcone.sym import svec_kron
+from natcone.sym import _SQRT2, _svec_indices, svec_kron
 
 
 def lp_min_x_geq_1():
@@ -88,6 +88,27 @@ class TestSvecSmat:
             want = svec(S @ D @ S, sym_tol=np.inf)
             got = svec_kron(S) @ svec(D)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 18, 40])
+    def test_svec_kron_matches_four_gather_reference(self, d):
+        def reference(S):
+            rows, cols = _svec_indices(S.shape[0])
+            w = np.where(rows < cols, _SQRT2, 1.0)
+            r, c = rows[:, None], cols[:, None]
+            K = 0.5 * (S[r, rows] * S[c, cols] + S[r, cols] * S[c, rows])
+            return K * np.outer(w, w)
+
+        rng = np.random.default_rng(70 + d)
+        R = rng.standard_normal((d, d))
+        S = R + R.T
+        assert np.array_equal(svec_kron(S), reference(S))
+
+    def test_svec_indices_are_read_only(self):
+        rows, cols = _svec_indices(4)
+        assert _svec_indices(4)[0] is rows
+        for a in (rows, cols):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
 
 class TestValidate:

@@ -361,3 +361,44 @@ class TestSolve:
             b = compute_directions(prob, it, target, solver._Oracles(prob, it))
             for u, v in zip(vars(a).values(), vars(b).values()):
                 assert np.array_equal(u, v), target
+
+    def test_one_domain_test_per_block(self, monkeypatch):
+        # the line search's interiority test covers every accepted iterate,
+        # so only the initial iterate's blocks are tested for the domain
+        calls = []
+        orig = C.Cone.barrier_domain_ok
+
+        def counting(K, pt):
+            calls.append(id(K))
+            return orig(K, pt)
+
+        monkeypatch.setattr(C.Cone, "barrier_domain_ok", counting)
+        prob, _ = build_instance(InstanceSpec("expdesign", 3, None, "rt", 0, "ef-exp"))
+        res = solve(prob)
+        assert res.status is SolveStatus.OPTIMAL
+        assert len(calls) <= len(prob.cones)
+        assert len(set(calls)) == len(calls)
+
+    def test_directions_reject_iterate_outside_domain(self):
+        prob, _ = build_instance(InstanceSpec("expdesign", 3, None, "rt", 0, "ef-exp"))
+        it = hsde_init(prob)
+        K, sl = prob.cones[0], prob.cone_slices()[0]
+        side = it.z if K.uses_dual_barrier else it.s
+        side[sl] = -side[sl]
+        with pytest.raises(solver._KKTError):
+            compute_directions(prob, it, "predict")
+
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, C.NotInteriorError])
+    def test_oracle_failure_is_numerical_error(self, exc):
+        class Flaky(C.EpiNorm2):
+            calls = 0
+
+            def hess(self, s):
+                Flaky.calls += 1
+                if Flaky.calls == 3:
+                    raise exc("oracle failed")
+                return super().hess(s)
+
+        res = solve(random_feasible([Flaky(3)], seed=4))
+        assert Flaky.calls == 3
+        assert res.status is SolveStatus.NUMERICAL_ERROR
