@@ -10,7 +10,20 @@ primal weighted sum-of-squares cone) no tractable barrier is known for the
 cone itself, but one is known for its dual. Those cones set
 ``uses_dual_barrier`` and their ``barrier``/``grad``/``hess`` oracles evaluate
 the dual cone's barrier; the solver applies them on the dual-variable side of
-the block.
+the block. Each is its parent (for ``Wsos``, the ``WsosDual`` it wraps) with
+the primal and dual membership sides swapped.
+
+The catalog states each fact once:
+
+- ``Cone`` holds the one shape/finiteness guard of both strict membership
+  tests and the one tolerance test of both closure tests. A cone supplies
+  margins, or overrides the private strict test where a factorization decides.
+- The nine cones sized by one ``d`` share a validating constructor and
+  ``params``; each states only its ``dim`` and ``nu``.
+- ``EpiNorm2`` and ``EpiPerSquare`` share the barrier -log(s'Js); each states
+  its own J s and r = s'Js.
+- ``HypoRootDet`` and ``HypoPerLogDet`` are tested on the eigenvalues of W
+  with the ``HypoGeomean`` and ``HypoPerLog`` margins.
 """
 
 from __future__ import annotations
@@ -62,8 +75,23 @@ def _posdef_chol(M: np.ndarray, pivot_floor: float = 0.0):
     return L
 
 
-def _logdet_from_chol(L: np.ndarray) -> float:
+def _logdet(M: np.ndarray) -> float:
+    """log det M from its Cholesky factor; NotInteriorError if M is not positive definite."""
+    L = _posdef_chol(M)
+    if L is None:
+        raise NotInteriorError("matrix not positive definite")
     return 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+def _sym_inv(W: np.ndarray) -> np.ndarray:
+    """Inverse of W, symmetrised."""
+    Wi = np.linalg.inv(W)
+    return 0.5 * (Wi + Wi.T)
+
+
+def _positive(m: np.ndarray) -> bool:
+    """Every margin finite and strictly positive (true when there are none)."""
+    return bool(m.size == 0 or (np.all(np.isfinite(m)) and np.min(m) > 0.0))
 
 
 class Cone:
@@ -107,28 +135,36 @@ class Cone:
         raise NotImplementedError
 
     def in_interior(self, s: np.ndarray) -> bool:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.dim,) or not np.all(np.isfinite(s)):
-            return False
-        m = self.primal_margins(s)
-        return bool(m.size == 0 or (np.all(np.isfinite(m)) and np.min(m) > 0.0))
+        return self._strict(s, self._primal_ok)
 
     def in_dual_interior(self, z: np.ndarray) -> bool:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,) or not np.all(np.isfinite(z)):
-            return False
-        m = self.dual_margins(z)
-        return bool(m.size == 0 or (np.all(np.isfinite(m)) and np.min(m) > 0.0))
+        return self._strict(z, self._dual_ok)
 
     def in_closure(self, s: np.ndarray, tol: float) -> bool:
-        s = np.asarray(s, dtype=float)
-        m = self.primal_margins(s)
-        return bool(m.size == 0 or np.min(m) >= -tol * (1.0 + float(np.max(np.abs(s)))))
+        return self._near(s, tol, self.primal_margins)
 
     def in_dual_closure(self, z: np.ndarray, tol: float) -> bool:
-        z = np.asarray(z, dtype=float)
-        m = self.dual_margins(z)
-        return bool(m.size == 0 or np.min(m) >= -tol * (1.0 + float(np.max(np.abs(z)))))
+        return self._near(z, tol, self.dual_margins)
+
+    def _strict(self, pt, test):
+        """test(pt) on a finite point of shape (dim,); False on any other point."""
+        pt = np.asarray(pt, dtype=float)
+        if pt.shape != (self.dim,) or not np.all(np.isfinite(pt)):
+            return False
+        return test(pt)
+
+    # strict tests of a guarded point; a cone overrides one where a factorization decides
+    def _primal_ok(self, s):
+        return _positive(self.primal_margins(s))
+
+    def _dual_ok(self, z):
+        return _positive(self.dual_margins(z))
+
+    def _near(self, pt, tol, margins):
+        """Every margin >= -tol * (1 + max|pt|)."""
+        pt = np.asarray(pt, dtype=float)
+        m = margins(pt)
+        return bool(m.size == 0 or np.min(m) >= -tol * (1.0 + float(np.max(np.abs(pt)))))
 
     # -- barrier oracles ----------------------------------------------------
     def initial_point(self) -> np.ndarray:
@@ -154,25 +190,31 @@ class Cone:
         return None
 
 
-# ---------------------------------------------------------------------------
-# symmetric / standard cones
-# ---------------------------------------------------------------------------
-
-
-class Nonneg(Cone):
-    """Nonnegative orthant of dimension d; barrier -sum(log w), nu = d."""
-
-    tag = "nonneg"
+class _SizedByD(Cone):
+    """A cone sized by one integer d >= 1; ``_dim_nu(d)`` gives its dim and nu."""
 
     def __init__(self, d: int):
         if d < 1:
             raise ValueError("d must be >= 1")
         self.d = int(d)
-        self.dim = self.d
-        self.nu = float(self.d)
+        self.dim, self.nu = self._dim_nu(self.d)
 
     def params(self):
         return {"d": self.d}
+
+
+# ---------------------------------------------------------------------------
+# symmetric / standard cones
+# ---------------------------------------------------------------------------
+
+
+class Nonneg(_SizedByD):
+    """Nonnegative orthant of dimension d; barrier -sum(log w), nu = d."""
+
+    tag = "nonneg"
+
+    def _dim_nu(self, d):
+        return d, float(d)
 
     def primal_margins(self, s):
         return np.asarray(s, dtype=float)
@@ -196,20 +238,39 @@ class Nonneg(Cone):
         return float(wv @ wv)
 
 
-class EpiNorm2(Cone):
+class _LogQuadratic(_SizedByD):
+    """Barrier -log(r), r = s'Js, nu = 2, for s = (lead, w) and J = J_lead (+) -I_d.
+
+    A subclass states J s and r by its own formulas, and in ``_J_LEAD`` the
+    (row, col) of each +1 entry of J_lead, whose other entries are 0.
+    """
+
+    def barrier(self, s):
+        return -math.log(self._Js(s)[1])
+
+    def grad(self, s):
+        Js, r = self._Js(s)
+        return -2.0 * Js / r
+
+    def hess(self, s):
+        Js, r = self._Js(s)
+        g = -2.0 * Js / r
+        H = np.outer(g, g)
+        k = self.dim - self.d
+        for ij in self._J_LEAD:
+            H[ij] -= 2.0 / r
+        H[k:, k:] += 2.0 / r * np.eye(self.d)
+        return H
+
+
+class EpiNorm2(_LogQuadratic):
     """Euclidean-norm epigraph {(u, w): u >= ||w||}; barrier -log(u^2 - ||w||^2)."""
 
     tag = "epinorm2"
+    _J_LEAD = ((0, 0),)
 
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = int(d)
-        self.dim = 1 + self.d
-        self.nu = 2.0
-
-    def params(self):
-        return {"d": self.d}
+    def _dim_nu(self, d):
+        return 1 + d, 2.0
 
     def primal_margins(self, s):
         u, w = s[0], s[1:]
@@ -222,43 +283,21 @@ class EpiNorm2(Cone):
         pt[0] = 1.0
         return pt
 
-    def _res(self, s):
+    def _Js(self, s):
         u, w = s[0], s[1:]
-        return u, w, u * u - float(w @ w)
-
-    def barrier(self, s):
-        return -math.log(self._res(s)[2])
-
-    def grad(self, s):
-        u, w, r = self._res(s)
-        g = np.empty(self.dim)
-        g[0] = -2.0 * u / r
-        g[1:] = 2.0 * w / r
-        return g
-
-    def hess(self, s):
-        u, w, r = self._res(s)
-        g = np.concatenate(([-2.0 * u], 2.0 * w)) / r
-        H = np.outer(g, g)
-        H[0, 0] -= 2.0 / r
-        H[1:, 1:] += 2.0 / r * np.eye(self.d)
-        return H
+        Js = -s
+        Js[0] = u
+        return Js, u * u - float(w @ w)
 
 
-class EpiPerSquare(Cone):
+class EpiPerSquare(_LogQuadratic):
     """Rotated second-order cone {(u, v, w): 2uv >= ||w||^2, u, v >= 0}."""
 
     tag = "epipersquare"
+    _J_LEAD = ((0, 1), (1, 0))
 
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = int(d)
-        self.dim = 2 + self.d
-        self.nu = 2.0
-
-    def params(self):
-        return {"d": self.d}
+    def _dim_nu(self, d):
+        return 2 + d, 2.0
 
     def primal_margins(self, s):
         u, v, w = s[0], s[1], s[2:]
@@ -273,75 +312,42 @@ class EpiPerSquare(Cone):
         pt[0] = pt[1] = 1.0
         return pt
 
-    def _res(self, s):
+    def _Js(self, s):
         u, v, w = s[0], s[1], s[2:]
-        return u, v, w, 2.0 * u * v - float(w @ w)
-
-    def barrier(self, s):
-        return -math.log(self._res(s)[3])
-
-    def grad(self, s):
-        u, v, w, r = self._res(s)
-        g = np.empty(self.dim)
-        g[0] = -2.0 * v / r
-        g[1] = -2.0 * u / r
-        g[2:] = 2.0 * w / r
-        return g
-
-    def hess(self, s):
-        u, v, w, r = self._res(s)
-        g = np.concatenate(([-2.0 * v, -2.0 * u], 2.0 * w)) / r
-        H = np.outer(g, g)
-        H[0, 1] -= 2.0 / r
-        H[1, 0] -= 2.0 / r
-        H[2:, 2:] += 2.0 / r * np.eye(self.d)
-        return H
+        Js = -s
+        Js[0], Js[1] = v, u
+        return Js, 2.0 * u * v - float(w @ w)
 
 
-class PosSemidef(Cone):
+class PosSemidef(_SizedByD):
     """Vectorized PSD cone of side d; barrier -logdet(W), nu = d."""
 
     tag = "possemidef"
 
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = int(d)
-        self.dim = sdim(self.d)
-        self.nu = float(self.d)
-
-    def params(self):
-        return {"d": self.d}
+    def _dim_nu(self, d):
+        return sdim(d), float(d)
 
     def primal_margins(self, s):
         return np.linalg.eigvalsh(smat(s))
 
     dual_margins = primal_margins
 
-    def in_interior(self, s):
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.dim,) or not np.all(np.isfinite(s)):
-            return False
+    def _primal_ok(self, s):
         return _posdef_chol(smat(s), pivot_floor=1e-12) is not None
 
-    in_dual_interior = in_interior
+    _dual_ok = _primal_ok
 
     def initial_point(self):
         return svec(np.eye(self.d))
 
     def barrier(self, s):
-        L = _posdef_chol(smat(s))
-        if L is None:
-            raise NotInteriorError("matrix not positive definite")
-        return -_logdet_from_chol(L)
+        return -_logdet(smat(s))
 
     def grad(self, s):
-        Wi = np.linalg.inv(smat(s))
-        return -svec(0.5 * (Wi + Wi.T), sym_tol=np.inf)
+        return -svec(_sym_inv(smat(s)), sym_tol=np.inf)
 
     def hess(self, s):
-        Wi = np.linalg.inv(smat(s))
-        return svec_kron(0.5 * (Wi + Wi.T))
+        return svec_kron(_sym_inv(smat(s)))
 
     def inv_hess_quad(self, s, v):
         # H(s)^-1 maps svec(V) to svec(W V W), so with W = L L' the form is
@@ -358,7 +364,7 @@ class PosSemidef(Cone):
 # ---------------------------------------------------------------------------
 
 
-class EpiNormInf(Cone):
+class EpiNormInf(_SizedByD):
     """Max-norm epigraph {(u, w): u >= max|w_i|}; dual is the l1 epigraph.
 
     Barrier -sum_i log(u^2 - w_i^2) + (d-1) log u with nu = d + 1.
@@ -366,15 +372,8 @@ class EpiNormInf(Cone):
 
     tag = "epinorminf"
 
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = int(d)
-        self.dim = 1 + self.d
-        self.nu = float(self.d + 1)
-
-    def params(self):
-        return {"d": self.d}
+    def _dim_nu(self, d):
+        return 1 + d, float(d + 1)
 
     def primal_margins(self, s):
         u, w = s[0], s[1:]
@@ -416,14 +415,8 @@ class EpiNormInfDual(EpiNormInf):
 
     tag = "epinorminfdual"
     uses_dual_barrier = True
-
-    def primal_margins(self, s):
-        u, w = s[0], s[1:]
-        return np.array([u - np.sum(np.abs(w))])
-
-    def dual_margins(self, z):
-        u, w = z[0], z[1:]
-        return np.array([u - np.max(np.abs(w))])
+    primal_margins = EpiNormInf.dual_margins
+    dual_margins = EpiNormInf.primal_margins
 
     def initial_point(self):
         pt = np.full(self.dim, 1.0 / self.d)
@@ -477,10 +470,7 @@ class EpiNormSpectral(Cone):
 
     def barrier(self, pt):
         u, W, Z = self._core(pt)
-        L = _posdef_chol(Z)
-        if L is None:
-            raise NotInteriorError("point not in spectral cone interior")
-        return -_logdet_from_chol(L) + (self.r - 1) * math.log(u)
+        return -_logdet(Z) + (self.r - 1) * math.log(u)
 
     def grad(self, pt):
         u, W, Z = self._core(pt)
@@ -514,16 +504,8 @@ class EpiNormSpectralDual(EpiNormSpectral):
 
     tag = "epinormspectraldual"
     uses_dual_barrier = True
-
-    def primal_margins(self, s):
-        u, W = s[0], self._mat(s[1:])
-        sig = np.linalg.svd(W, compute_uv=False)
-        return np.array([u - float(np.sum(sig))])
-
-    def dual_margins(self, z):
-        u, W = z[0], self._mat(z[1:])
-        sig = np.linalg.svd(W, compute_uv=False)
-        return np.array([u - (sig[0] if sig.size else 0.0)])
+    primal_margins = EpiNormSpectral.dual_margins
+    dual_margins = EpiNormSpectral.primal_margins
 
     def initial_point(self):
         W = np.zeros((self.r, self.s))
@@ -540,7 +522,34 @@ def _geomean(w):
     return float(np.exp(np.mean(np.log(w))))
 
 
-class HypoGeomean(Cone):
+def _geomean_if_positive(w):
+    return _geomean(np.maximum(w, 1e-300)) if np.all(w > 0) else 0.0
+
+
+# Margins of the vector hypographs; the matrix hypographs pass the eigenvalues of W as w.
+def _geomean_margins(u, w):
+    return np.concatenate((w, [_geomean_if_positive(w) - u]))
+
+
+def _geomean_dual_margins(u, w):
+    return np.concatenate(([-u], w, [u + w.size * _geomean_if_positive(w)]))
+
+
+def _perlog_margins(u, v, w):
+    if v <= 0.0 or np.any(w <= 0.0):
+        return np.array([min(v, float(np.min(w)))])
+    xi = v * float(np.sum(np.log(w / v))) - u
+    return np.concatenate(([v], w, [xi]))
+
+
+def _perlog_dual_margins(u, v, w):
+    if u >= 0.0 or np.any(w <= 0.0):
+        return np.array([min(-u, float(np.min(w)))])
+    slack = v - float(np.sum(u * (np.log(-w / u) + 1.0)))
+    return np.concatenate(([-u], w, [slack]))
+
+
+class HypoGeomean(_SizedByD):
     """Geometric-mean hypograph {(u, w >= 0): u <= prod(w_i)^(1/d)}.
 
     Barrier -log(geomean(w) - u) - sum_i log w_i with nu = d + 1.
@@ -548,25 +557,14 @@ class HypoGeomean(Cone):
 
     tag = "hypogeomean"
 
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = int(d)
-        self.dim = 1 + self.d
-        self.nu = float(self.d + 1)
-
-    def params(self):
-        return {"d": self.d}
+    def _dim_nu(self, d):
+        return 1 + d, float(d + 1)
 
     def primal_margins(self, s):
-        u, w = s[0], s[1:]
-        geo = _geomean(np.maximum(w, 1e-300)) if np.all(w > 0) else 0.0
-        return np.concatenate((w, [geo - u]))
+        return _geomean_margins(s[0], s[1:])
 
     def dual_margins(self, z):
-        u, w = z[0], z[1:]
-        geo = _geomean(np.maximum(w, 1e-300)) if np.all(w > 0) else 0.0
-        return np.concatenate(([-u], w, [u + self.d * geo]))
+        return _geomean_dual_margins(z[0], z[1:])
 
     def initial_point(self):
         pt = np.ones(self.dim)
@@ -604,7 +602,7 @@ class HypoGeomean(Cone):
         return H
 
 
-class HypoRootDet(Cone):
+class HypoRootDet(_SizedByD):
     """Root-determinant hypograph {(u, svec(W)): W psd, u <= det(W)^(1/d)}.
 
     Barrier -log(det(W)^(1/d) - u) - logdet(W) with nu = d + 1.
@@ -612,40 +610,21 @@ class HypoRootDet(Cone):
 
     tag = "hyporootdet"
 
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = int(d)
-        self.dim = 1 + sdim(self.d)
-        self.nu = float(self.d + 1)
-
-    def params(self):
-        return {"d": self.d}
-
-    def _split(self, pt):
-        return pt[0], smat(pt[1:])
+    def _dim_nu(self, d):
+        return 1 + sdim(d), float(d + 1)
 
     def primal_margins(self, s):
-        u, W = self._split(s)
-        eigs = np.linalg.eigvalsh(W)
-        rd = float(np.exp(np.mean(np.log(np.maximum(eigs, 1e-300))))) if np.all(eigs > 0) else 0.0
-        return np.concatenate((eigs, [rd - u]))
+        return _geomean_margins(s[0], np.linalg.eigvalsh(smat(s[1:])))
 
     def dual_margins(self, z):
-        u, W = self._split(z)
-        eigs = np.linalg.eigvalsh(W)
-        rd = float(np.exp(np.mean(np.log(np.maximum(eigs, 1e-300))))) if np.all(eigs > 0) else 0.0
-        return np.concatenate(([-u], eigs, [u + self.d * rd]))
+        return _geomean_dual_margins(z[0], np.linalg.eigvalsh(smat(z[1:])))
 
     def initial_point(self):
         return np.concatenate(([0.5], svec(np.eye(self.d))))
 
     def _core(self, pt):
-        u, W = self._split(pt)
-        L = _posdef_chol(W)
-        if L is None:
-            raise NotInteriorError("matrix part not positive definite")
-        logdet = _logdet_from_chol(L)
+        u, W = pt[0], smat(pt[1:])
+        logdet = _logdet(W)
         R = math.exp(logdet / self.d)
         return u, W, logdet, R, R - u
 
@@ -655,8 +634,7 @@ class HypoRootDet(Cone):
 
     def grad(self, pt):
         u, W, logdet, R, phi = self._core(pt)
-        Wi = np.linalg.inv(W)
-        Wi = 0.5 * (Wi + Wi.T)
+        Wi = _sym_inv(W)
         alpha = R / (self.d * phi)
         g = np.empty(self.dim)
         g[0] = 1.0 / phi
@@ -666,8 +644,7 @@ class HypoRootDet(Cone):
     def hess(self, pt):
         u, W, logdet, R, phi = self._core(pt)
         d = self.d
-        Wi = np.linalg.inv(W)
-        Wi = 0.5 * (Wi + Wi.T)
+        Wi = _sym_inv(W)
         alpha = R / (d * phi)
         H = np.empty((self.dim, self.dim))
         H[0, 0] = 1.0 / phi**2
@@ -680,7 +657,7 @@ class HypoRootDet(Cone):
         return H
 
 
-class HypoPerLog(Cone):
+class HypoPerLog(_SizedByD):
     """Perspective-log hypograph {(u, v > 0, w > 0): u <= sum_i v log(w_i / v)}.
 
     Barrier -log(v sum_i log(w_i/v) - u) - sum_i log w_i - log v, nu = d + 2.
@@ -689,29 +666,14 @@ class HypoPerLog(Cone):
 
     tag = "hypoperlog"
 
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = int(d)
-        self.dim = 2 + self.d
-        self.nu = float(self.d + 2)
-
-    def params(self):
-        return {"d": self.d}
+    def _dim_nu(self, d):
+        return 2 + d, float(d + 2)
 
     def primal_margins(self, s):
-        u, v, w = s[0], s[1], s[2:]
-        if v <= 0.0 or np.any(w <= 0.0):
-            return np.array([min(v, float(np.min(w)))])
-        xi = v * float(np.sum(np.log(w / v))) - u
-        return np.concatenate(([v], w, [xi]))
+        return _perlog_margins(s[0], s[1], s[2:])
 
     def dual_margins(self, z):
-        u, v, w = z[0], z[1], z[2:]
-        if u >= 0.0 or np.any(w <= 0.0):
-            return np.array([min(-u, float(np.min(w)))])
-        slack = v - float(np.sum(u * (np.log(-w / u) + 1.0)))
-        return np.concatenate(([-u], w, [slack]))
+        return _perlog_dual_margins(z[0], z[1], z[2:])
 
     def initial_point(self):
         pt = np.ones(self.dim)
@@ -752,7 +714,7 @@ class HypoPerLog(Cone):
         return H
 
 
-class HypoPerLogDet(Cone):
+class HypoPerLogDet(_SizedByD):
     """Perspective-logdet hypograph {(u, v > 0, svec(W)): W pd, u <= v logdet(W/v)}.
 
     Barrier -log(v logdet(W/v) - u) - logdet(W) - log v with nu = d + 2.
@@ -760,44 +722,21 @@ class HypoPerLogDet(Cone):
 
     tag = "hypoperlogdet"
 
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = int(d)
-        self.dim = 2 + sdim(self.d)
-        self.nu = float(self.d + 2)
-
-    def params(self):
-        return {"d": self.d}
-
-    def _split(self, pt):
-        return pt[0], pt[1], smat(pt[2:])
+    def _dim_nu(self, d):
+        return 2 + sdim(d), float(d + 2)
 
     def primal_margins(self, s):
-        u, v, W = self._split(s)
-        eigs = np.linalg.eigvalsh(W)
-        if v <= 0.0 or np.any(eigs <= 0.0):
-            return np.array([min(v, float(np.min(eigs)))])
-        xi = v * float(np.sum(np.log(eigs / v))) - u
-        return np.concatenate(([v], eigs, [xi]))
+        return _perlog_margins(s[0], s[1], np.linalg.eigvalsh(smat(s[2:])))
 
     def dual_margins(self, z):
-        u, v, W = self._split(z)
-        eigs = np.linalg.eigvalsh(W)
-        if u >= 0.0 or np.any(eigs <= 0.0):
-            return np.array([min(-u, float(np.min(eigs)))])
-        slack = v - u * (float(np.sum(np.log(-eigs / u))) + self.d)
-        return np.concatenate(([-u], eigs, [slack]))
+        return _perlog_dual_margins(z[0], z[1], np.linalg.eigvalsh(smat(z[2:])))
 
     def initial_point(self):
         return np.concatenate(([-1.0, 1.0], svec(np.eye(self.d))))
 
     def _core(self, pt):
-        u, v, W = self._split(pt)
-        L = _posdef_chol(W)
-        if L is None:
-            raise NotInteriorError("matrix part not positive definite")
-        logdet = _logdet_from_chol(L)
+        u, v, W = pt[0], pt[1], smat(pt[2:])
+        logdet = _logdet(W)
         sigma = logdet - self.d * math.log(v) - self.d  # d(xi)/dv
         xi = v * (logdet - self.d * math.log(v)) - u
         return u, v, W, logdet, sigma, xi
@@ -808,8 +747,7 @@ class HypoPerLogDet(Cone):
 
     def grad(self, pt):
         u, v, W, logdet, sigma, xi = self._core(pt)
-        Wi = np.linalg.inv(W)
-        Wi = 0.5 * (Wi + Wi.T)
+        Wi = _sym_inv(W)
         g = np.empty(self.dim)
         g[0] = 1.0 / xi
         g[1] = -sigma / xi - 1.0 / v
@@ -819,8 +757,7 @@ class HypoPerLogDet(Cone):
     def hess(self, pt):
         u, v, W, logdet, sigma, xi = self._core(pt)
         d = self.d
-        Wi = np.linalg.inv(W)
-        Wi = 0.5 * (Wi + Wi.T)
+        Wi = _sym_inv(W)
         sWi = svec(Wi, sym_tol=np.inf)
         H = np.empty((self.dim, self.dim))
         H[0, 0] = 1.0 / xi**2
@@ -854,14 +791,8 @@ def _check_ps(Ps):
     return mats, d
 
 
-class WsosDual(Cone):
-    """Moment-side weighted SOS cone {w: P_l' Diag(w) P_l psd for all l}.
-
-    Barrier -sum_l logdet(P_l' Diag(w) P_l) with nu = sum_l cols(P_l).
-    """
-
-    tag = "wsosdual"
-    cheap_dual_test = False  # dual membership needs an auxiliary solve
+class _WsosPair(Cone):
+    """The interpolant matrices, size and barrier parameter shared by the two wsos cones."""
 
     def __init__(self, Ps):
         self.Ps, self.d = _check_ps(Ps)
@@ -871,24 +802,27 @@ class WsosDual(Cone):
     def params(self):
         return {"Ps": [P.tolist() for P in self.Ps]}
 
+
+class WsosDual(_WsosPair):
+    """Moment-side weighted SOS cone {w: P_l' Diag(w) P_l psd for all l}.
+
+    Barrier -sum_l logdet(P_l' Diag(w) P_l) with nu = sum_l cols(P_l).
+    """
+
+    tag = "wsosdual"
+    cheap_dual_test = False  # dual membership needs an auxiliary solve
+
     def _lams(self, w):
         return [(P * np.asarray(w, dtype=float)[:, None]).T @ P for P in self.Ps]
 
     def primal_margins(self, s):
         return np.concatenate([np.linalg.eigvalsh(L) for L in self._lams(s)])
 
-    def in_interior(self, s):
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.dim,) or not np.all(np.isfinite(s)):
-            return False
+    def _primal_ok(self, s):
         return all(_posdef_chol(L, pivot_floor=1e-12) is not None for L in self._lams(s))
 
     def dual_margins(self, z):
         return _wsos_primal_margins(self.Ps, z)
-
-    def in_dual_interior(self, z):
-        m = self.dual_margins(z)
-        return bool(np.all(np.isfinite(m)) and np.min(m) > 0.0)
 
     def initial_point(self):
         return np.ones(self.d)
@@ -896,10 +830,7 @@ class WsosDual(Cone):
     def barrier(self, w):
         total = 0.0
         for Lam in self._lams(w):
-            L = _posdef_chol(Lam)
-            if L is None:
-                raise NotInteriorError("moment matrix not positive definite")
-            total -= _logdet_from_chol(L)
+            total -= _logdet(Lam)
         return total
 
     def grad(self, w):
@@ -959,7 +890,7 @@ def _wsos_primal_margins(Ps, w):
     return np.array([np.nan])
 
 
-class Wsos(Cone):
+class Wsos(_WsosPair):
     """Function-side weighted SOS cone {sum_l diag(P_l Th_l P_l'): Th_l psd}.
 
     No tractable barrier is known for this cone; oracles evaluate the
@@ -971,26 +902,17 @@ class Wsos(Cone):
     cheap_primal_test = False  # strict membership needs an auxiliary solve
 
     def __init__(self, Ps):
-        self.Ps, self.d = _check_ps(Ps)
-        self.dim = self.d
-        self.nu = float(sum(P.shape[1] for P in self.Ps))
+        super().__init__(Ps)
         self._dual = WsosDual(self.Ps)
-
-    def params(self):
-        return {"Ps": [P.tolist() for P in self.Ps]}
 
     def primal_margins(self, s):
         return _wsos_primal_margins(self.Ps, s)
 
-    def in_interior(self, s):
-        m = self.primal_margins(s)
-        return bool(np.all(np.isfinite(m)) and np.min(m) > 0.0)
-
     def dual_margins(self, z):
         return self._dual.primal_margins(z)
 
-    def in_dual_interior(self, z):
-        return self._dual.in_interior(z)
+    def _dual_ok(self, z):
+        return self._dual._primal_ok(z)
 
     def initial_point(self):
         return np.sum([np.einsum("ij,ij->i", P, P) for P in self.Ps], axis=0)

@@ -68,7 +68,25 @@ def test_criterion_1_table_accounting():
             C.HypoPerLogDet(d),
             (1 + 3 * d + sdim(2 * d), 1.0 + 5 * d, d + sdim(d), 0),
         )
-    for r in range(2, 9):
+    # d = 1, derived by hand from the rewrites:
+    # - max- and l1-norm epigraphs: the d >= 2 formulas, Nonneg(2) on (u - w, u + w)
+    #   and the split u >= th + lam, w = th - lam (2 aux, 1 equality, 3 Nonneg(1))
+    _assert_row(C.EpiNormInf(1), (2, 2.0, 0, 0))
+    _assert_row(C.EpiNormInfDual(1), (3, 3.0, 2, 1))
+    # - u <= geomean(w) = w is Nonneg(2) on (w - u, w)
+    _assert_row(C.HypoGeomean(1), (2, 2.0, 0, 0))
+    # - the d = 1 perspective-log hypograph is the exponential cone: passes through
+    _assert_row(C.HypoPerLog(1), (3, 3.0, 0, 0))
+    # - root-det: PosSemidef(2) pairing [[W, th], [th, th]] (3 rows, nu 2, 1 aux)
+    #   plus u <= th as Nonneg(2) on (th - u, th)
+    _assert_row(C.HypoRootDet(1), (5, 4.0, 1, 0))
+    # - perspective-logdet: the same pairing, then u <= t as Nonneg(1) on (t - u)
+    #   and (t, v, th) in HypoPerLog(1): 3 + 1 + 3 rows, nu 2 + 1 + 3, aux th and t
+    _assert_row(C.HypoPerLogDet(1), (7, 6.0, 2, 0))
+    # r = 1 follows the r >= 2 formulas: an arrow PosSemidef(1 + s) for the spectral
+    # norm, and for its dual the PosSemidef(1 + s) pairing with sdim(1) + sdim(s) aux
+    # plus one Nonneg(1) row
+    for r in range(1, 9):
         for s in range(r, 9):
             _assert_row(C.EpiNormSpectral(r, s), (sdim(r + s), float(r + s), 0, 0))
             _assert_row(

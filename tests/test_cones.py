@@ -97,6 +97,13 @@ class TestMembership:
     def test_wrong_length_rejected(self):
         assert not C.Nonneg(3).in_interior(np.ones(2))
 
+    @pytest.mark.parametrize("K", small_catalog(), ids=lambda K: K.tag)
+    def test_wrong_length_and_nan_points_rejected(self, K):
+        # the wsos tests return False here without starting their auxiliary solve
+        for pt in (np.ones(K.dim + 1), np.full(K.dim, np.nan)):
+            assert K.in_interior(pt) is False
+            assert K.in_dual_interior(pt) is False
+
 
 class TestGradExamples:
     def test_nonneg(self):

@@ -35,3 +35,9 @@ def test_traced_solve_matches_untraced():
     assert (traced.iterations, traced.primal_obj) == (plain.iterations, plain.primal_obj)
     for name in ("solver.directions", "linalg.lu_factor", "sym.svec", "cones.possemidef.hess"):
         assert tracer.calls[name] > 0, name
+    # every oracle layer of every cone in the instance is attributed: a public
+    # helper called by a membership test would move its time out of member_s
+    layers = tracer.layers(traced.iterations)
+    for tag in {K.tag for K in problem.cones}:
+        for metric in ("member_s", "grad_s", "hess.calls"):
+            assert layers[f"cones.{tag}.{metric}"] > 0, (tag, metric)
