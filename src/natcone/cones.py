@@ -24,6 +24,12 @@ The catalog states each fact once:
   its own J s and r = s'Js.
 - ``HypoRootDet`` and ``HypoPerLogDet`` are tested on the eigenvalues of W
   with the ``HypoGeomean`` and ``HypoPerLog`` margins.
+- ``Cone.barrier`` holds the one barrier-domain guard; a cone states only the
+  formula, ``_barrier``.
+- ``Nonneg``, ``EpiNorm2``, ``EpiPerSquare`` and ``HypoPerLog`` write their
+  margins and barrier oracles to broadcast over a leading stack axis; a single
+  block is the unstacked case. ``_Run`` evaluates a run of equal blocks of
+  these cones as one block.
 """
 
 from __future__ import annotations
@@ -89,6 +95,21 @@ def _sym_inv(W: np.ndarray) -> np.ndarray:
     return 0.5 * (Wi + Wi.T)
 
 
+def _dot(a, b):
+    """a'b over the last axis, kept as an axis of length one.
+
+    A matmul of 1 x n by n x 1 takes the BLAS dot of ``a @ b``, so a stack of
+    points gets each point's bits.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def _add_diag(H, v):
+    """Add v to the diagonal of every matrix of the stack H, in place."""
+    i = np.arange(H.shape[-1])
+    H[..., i, i] += v
+
+
 def _positive(m: np.ndarray) -> bool:
     """Every margin finite and strictly positive (true when there are none)."""
     return bool(m.size == 0 or (np.all(np.isfinite(m)) and np.min(m) > 0.0))
@@ -103,6 +124,10 @@ class Cone:
     # auxiliary optimization and is too slow for per-trial line-search checks.
     cheap_primal_test = True
     cheap_dual_test = True
+    # True where margins, strict tests, grad, hess and inv_hess_quad also take
+    # a stack of points, shape (r, dim), so that a run of equal blocks can be
+    # evaluated as one ``_Run``
+    _stackable = False
 
     dim: int
     nu: float
@@ -174,6 +199,12 @@ class Cone:
         return self.in_dual_interior(pt) if self.uses_dual_barrier else self.in_interior(pt)
 
     def barrier(self, pt: np.ndarray) -> float:
+        """Barrier value; NotInteriorError outside the barrier domain."""
+        pt = np.asarray(pt, dtype=float)
+        _require_domain(self, pt)
+        return self._barrier(pt)
+
+    def _barrier(self, pt):
         raise NotImplementedError
 
     def grad(self, pt: np.ndarray) -> np.ndarray:
@@ -188,6 +219,10 @@ class Cone:
         A closed form returns inf when it cannot factor the point.
         """
         return None
+
+    def _products(self, s, z):
+        """The complementarity product s'z/nu of each original block this block holds."""
+        return [float(s @ z) / self.nu]
 
 
 class _SizedByD(Cone):
@@ -212,6 +247,7 @@ class Nonneg(_SizedByD):
     """Nonnegative orthant of dimension d; barrier -sum(log w), nu = d."""
 
     tag = "nonneg"
+    _stackable = True
 
     def _dim_nu(self, d):
         return d, float(d)
@@ -224,18 +260,21 @@ class Nonneg(_SizedByD):
     def initial_point(self):
         return np.ones(self.d)
 
-    def barrier(self, w):
+    def _barrier(self, w):
         return -float(np.sum(np.log(w)))
 
     def grad(self, w):
         return -1.0 / np.asarray(w, dtype=float)
 
     def hess(self, w):
-        return np.diag(1.0 / np.asarray(w, dtype=float) ** 2)
+        w = np.asarray(w, dtype=float)
+        H = np.zeros(w.shape + w.shape[-1:])
+        _add_diag(H, 1.0 / w**2)
+        return H
 
     def inv_hess_quad(self, w, v):
         wv = np.asarray(w, dtype=float) * v
-        return float(wv @ wv)
+        return _dot(wv, wv)[..., 0]
 
 
 class _LogQuadratic(_SizedByD):
@@ -245,8 +284,10 @@ class _LogQuadratic(_SizedByD):
     (row, col) of each +1 entry of J_lead, whose other entries are 0.
     """
 
-    def barrier(self, s):
-        return -math.log(self._Js(s)[1])
+    _stackable = True
+
+    def _barrier(self, s):
+        return -float(np.sum(np.log(self._Js(s)[1])))
 
     def grad(self, s):
         Js, r = self._Js(s)
@@ -255,12 +296,18 @@ class _LogQuadratic(_SizedByD):
     def hess(self, s):
         Js, r = self._Js(s)
         g = -2.0 * Js / r
-        H = np.outer(g, g)
+        H = g[..., :, None] * g[..., None, :]
+        c = 2.0 / r
+        for i, j in self._J_LEAD:
+            H[..., i, j] -= c[..., 0]
         k = self.dim - self.d
-        for ij in self._J_LEAD:
-            H[ij] -= 2.0 / r
-        H[k:, k:] += 2.0 / r * np.eye(self.d)
+        _add_diag(H[..., k:, k:], c)
         return H
+
+    def inv_hess_quad(self, s, v):
+        # J is its own inverse, so H^-1 = s s' - (r/2) J
+        r = self._Js(s)[1]
+        return (_dot(s, v) ** 2 - 0.5 * r * self._Js(v)[1])[..., 0]
 
 
 class EpiNorm2(_LogQuadratic):
@@ -273,8 +320,8 @@ class EpiNorm2(_LogQuadratic):
         return 1 + d, 2.0
 
     def primal_margins(self, s):
-        u, w = s[0], s[1:]
-        return np.array([u - np.linalg.norm(w)])
+        u, w = s[..., :1], s[..., 1:]
+        return u - np.sqrt(_dot(w, w))
 
     dual_margins = primal_margins  # self-dual
 
@@ -284,10 +331,10 @@ class EpiNorm2(_LogQuadratic):
         return pt
 
     def _Js(self, s):
-        u, w = s[0], s[1:]
+        u, w = s[..., :1], s[..., 1:]
         Js = -s
-        Js[0] = u
-        return Js, u * u - float(w @ w)
+        Js[..., :1] = u
+        return Js, u * u - _dot(w, w)
 
 
 class EpiPerSquare(_LogQuadratic):
@@ -300,10 +347,9 @@ class EpiPerSquare(_LogQuadratic):
         return 2 + d, 2.0
 
     def primal_margins(self, s):
-        u, v, w = s[0], s[1], s[2:]
-        nw = np.linalg.norm(w)
-        root = math.sqrt(2.0 * max(u, 0.0) * max(v, 0.0))
-        return np.array([u, v, root - nw])
+        u, v, w = s[..., :1], s[..., 1:2], s[..., 2:]
+        root = np.sqrt(2.0 * np.maximum(u, 0.0) * np.maximum(v, 0.0))
+        return np.concatenate((u, v, root - np.sqrt(_dot(w, w))), axis=-1)
 
     dual_margins = primal_margins  # self-dual under this scaling
 
@@ -313,10 +359,10 @@ class EpiPerSquare(_LogQuadratic):
         return pt
 
     def _Js(self, s):
-        u, v, w = s[0], s[1], s[2:]
+        u, v, w = s[..., :1], s[..., 1:2], s[..., 2:]
         Js = -s
-        Js[0], Js[1] = v, u
-        return Js, 2.0 * u * v - float(w @ w)
+        Js[..., :1], Js[..., 1:2] = v, u
+        return Js, 2.0 * u * v - _dot(w, w)
 
 
 class PosSemidef(_SizedByD):
@@ -340,7 +386,7 @@ class PosSemidef(_SizedByD):
     def initial_point(self):
         return svec(np.eye(self.d))
 
-    def barrier(self, s):
+    def _barrier(self, s):
         return -_logdet(smat(s))
 
     def grad(self, s):
@@ -388,7 +434,7 @@ class EpiNormInf(_SizedByD):
         pt[0] = 2.0
         return pt
 
-    def barrier(self, s):
+    def _barrier(self, s):
         u, w = s[0], s[1:]
         return -float(np.sum(np.log(u * u - w * w))) + (self.d - 1) * math.log(u)
 
@@ -400,14 +446,29 @@ class EpiNormInf(_SizedByD):
         g[1:] = 2.0 * w / r
         return g
 
-    def hess(self, s):
+    def _arrow(self, s):
+        """The Hessian's corner, first-row tail and diagonal tail: [[a, b'], [b, Diag(D)]]."""
         u, w = s[0], s[1:]
         r = u * u - w * w
+        a = np.sum(-2.0 / r + 4.0 * u * u / r**2) - (self.d - 1) / u**2
+        return a, -4.0 * u * w / r**2, 2.0 / r + 4.0 * w * w / r**2
+
+    def hess(self, s):
+        a, b, D = self._arrow(s)
         H = np.zeros((self.dim, self.dim))
-        H[0, 0] = np.sum(-2.0 / r + 4.0 * u * u / r**2) - (self.d - 1) / u**2
-        H[0, 1:] = H[1:, 0] = -4.0 * u * w / r**2
-        H[1:, 1:] = np.diag(2.0 / r + 4.0 * w * w / r**2)
+        H[0, 0] = a
+        H[0, 1:] = H[1:, 0] = b
+        H[1:, 1:] = np.diag(D)
         return H
+
+    def inv_hess_quad(self, s, v):
+        # eliminate the diagonal tail; the corner's Schur complement is a scalar
+        a, b, D = self._arrow(s)
+        schur = a - float(np.sum(b * b / D))
+        if not schur > 0.0:
+            return float("inf")
+        t = v[1:] / D
+        return float(v[1:] @ t + (v[0] - b @ t) ** 2 / schur)
 
 
 class EpiNormInfDual(EpiNormInf):
@@ -468,7 +529,7 @@ class EpiNormSpectral(Cone):
         Z = u * u * np.eye(self.r) - W @ W.T
         return u, W, Z
 
-    def barrier(self, pt):
+    def _barrier(self, pt):
         u, W, Z = self._core(pt)
         return -_logdet(Z) + (self.r - 1) * math.log(u)
 
@@ -535,18 +596,23 @@ def _geomean_dual_margins(u, w):
     return np.concatenate(([-u], w, [u + w.size * _geomean_if_positive(w)]))
 
 
+# The perspective-log margins take u and v with a trailing axis of length one
+# and broadcast over the leading axes of a stack; the non-domain slot repeats
+# the smallest of the sign margins there.
 def _perlog_margins(u, v, w):
-    if v <= 0.0 or np.any(w <= 0.0):
-        return np.array([min(v, float(np.min(w)))])
-    xi = v * float(np.sum(np.log(w / v))) - u
-    return np.concatenate(([v], w, [xi]))
+    ok = (v > 0.0) & np.all(w > 0.0, axis=-1, keepdims=True)
+    lg = np.log(np.divide(w, v, out=np.ones_like(w), where=ok))
+    xi = v * lg.sum(axis=-1, keepdims=True) - u
+    lo = np.minimum(v, w.min(axis=-1, keepdims=True))
+    return np.concatenate((v, w, np.where(ok, xi, lo)), axis=-1)
 
 
 def _perlog_dual_margins(u, v, w):
-    if u >= 0.0 or np.any(w <= 0.0):
-        return np.array([min(-u, float(np.min(w)))])
-    slack = v - float(np.sum(u * (np.log(-w / u) + 1.0)))
-    return np.concatenate(([-u], w, [slack]))
+    ok = (u < 0.0) & np.all(w > 0.0, axis=-1, keepdims=True)
+    lg = np.log(np.divide(-w, u, out=np.ones_like(w), where=ok))
+    slack = v - (u * (lg + 1.0)).sum(axis=-1, keepdims=True)
+    lo = np.minimum(-u, w.min(axis=-1, keepdims=True))
+    return np.concatenate((-u, w, np.where(ok, slack, lo)), axis=-1)
 
 
 class HypoGeomean(_SizedByD):
@@ -576,7 +642,7 @@ class HypoGeomean(_SizedByD):
         geo = _geomean(w)
         return u, w, geo, geo - u
 
-    def barrier(self, pt):
+    def _barrier(self, pt):
         u, w, geo, phi = self._core(pt)
         return -math.log(phi) - float(np.sum(np.log(w)))
 
@@ -628,7 +694,7 @@ class HypoRootDet(_SizedByD):
         R = math.exp(logdet / self.d)
         return u, W, logdet, R, R - u
 
-    def barrier(self, pt):
+    def _barrier(self, pt):
         u, W, logdet, R, phi = self._core(pt)
         return -math.log(phi) - logdet
 
@@ -665,15 +731,16 @@ class HypoPerLog(_SizedByD):
     """
 
     tag = "hypoperlog"
+    _stackable = True
 
     def _dim_nu(self, d):
         return 2 + d, float(d + 2)
 
     def primal_margins(self, s):
-        return _perlog_margins(s[0], s[1], s[2:])
+        return _perlog_margins(s[..., :1], s[..., 1:2], s[..., 2:])
 
     def dual_margins(self, z):
-        return _perlog_dual_margins(z[0], z[1], z[2:])
+        return _perlog_dual_margins(z[..., :1], z[..., 1:2], z[..., 2:])
 
     def initial_point(self):
         pt = np.ones(self.dim)
@@ -681,36 +748,35 @@ class HypoPerLog(_SizedByD):
         return pt
 
     def _core(self, pt):
-        u, v, w = pt[0], pt[1], pt[2:]
-        lg = np.log(w / v)
-        sigma = float(np.sum(lg)) - self.d  # d(xi)/dv
-        xi = v * float(np.sum(lg)) - u
+        u, v, w = pt[..., :1], pt[..., 1:2], pt[..., 2:]
+        lg = np.log(w / v).sum(axis=-1, keepdims=True)
+        sigma = lg - self.d  # d(xi)/dv
+        xi = v * lg - u
         return u, v, w, sigma, xi
 
-    def barrier(self, pt):
+    def _barrier(self, pt):
         u, v, w, sigma, xi = self._core(pt)
-        return -math.log(xi) - float(np.sum(np.log(w))) - math.log(v)
+        return -float(np.sum(np.log(xi)) + np.sum(np.log(w)) + np.sum(np.log(v)))
 
     def grad(self, pt):
         u, v, w, sigma, xi = self._core(pt)
         t = v / w
-        g = np.empty(self.dim)
-        g[0] = 1.0 / xi
-        g[1] = -sigma / xi - 1.0 / v
-        g[2:] = -t / xi - 1.0 / w
-        return g
+        return np.concatenate((1.0 / xi, -sigma / xi - 1.0 / v, -t / xi - 1.0 / w), axis=-1)
 
     def hess(self, pt):
         u, v, w, sigma, xi = self._core(pt)
-        d = self.d
         t = v / w
-        H = np.empty((self.dim, self.dim))
-        H[0, 0] = 1.0 / xi**2
-        H[0, 1] = H[1, 0] = -sigma / xi**2
-        H[0, 2:] = H[2:, 0] = -t / xi**2
-        H[1, 1] = d / (v * xi) + sigma**2 / xi**2 + 1.0 / v**2
-        H[1, 2:] = H[2:, 1] = -1.0 / (w * xi) + sigma * t / xi**2
-        H[2:, 2:] = np.outer(t, t) / xi**2 + np.diag(v / (w * w * xi) + 1.0 / (w * w))
+        xi2 = xi**2
+        H = np.empty(pt.shape + pt.shape[-1:])
+        H[..., 0, :] = np.concatenate((1.0 / xi2, -sigma / xi2, -t / xi2), axis=-1)
+        H[..., 1, 1:] = np.concatenate(
+            (self.d / (v * xi) + sigma**2 / xi2 + 1.0 / v**2, -1.0 / (w * xi) + sigma * t / xi2),
+            axis=-1,
+        )
+        H[..., 2:, 2:] = t[..., :, None] * t[..., None, :] / xi2[..., None]
+        _add_diag(H[..., 2:, 2:], v / (w * w * xi) + 1.0 / (w * w))
+        H[..., 1:, 0] = H[..., 0, 1:]
+        H[..., 2:, 1] = H[..., 1, 2:]
         return H
 
 
@@ -726,10 +792,10 @@ class HypoPerLogDet(_SizedByD):
         return 2 + sdim(d), float(d + 2)
 
     def primal_margins(self, s):
-        return _perlog_margins(s[0], s[1], np.linalg.eigvalsh(smat(s[2:])))
+        return _perlog_margins(s[:1], s[1:2], np.linalg.eigvalsh(smat(s[2:])))
 
     def dual_margins(self, z):
-        return _perlog_dual_margins(z[0], z[1], np.linalg.eigvalsh(smat(z[2:])))
+        return _perlog_dual_margins(z[:1], z[1:2], np.linalg.eigvalsh(smat(z[2:])))
 
     def initial_point(self):
         return np.concatenate(([-1.0, 1.0], svec(np.eye(self.d))))
@@ -741,7 +807,7 @@ class HypoPerLogDet(_SizedByD):
         xi = v * (logdet - self.d * math.log(v)) - u
         return u, v, W, logdet, sigma, xi
 
-    def barrier(self, pt):
+    def _barrier(self, pt):
         u, v, W, logdet, sigma, xi = self._core(pt)
         return -math.log(xi) - logdet - math.log(v)
 
@@ -827,7 +893,7 @@ class WsosDual(_WsosPair):
     def initial_point(self):
         return np.ones(self.d)
 
-    def barrier(self, w):
+    def _barrier(self, w):
         total = 0.0
         for Lam in self._lams(w):
             total -= _logdet(Lam)
@@ -917,14 +983,88 @@ class Wsos(_WsosPair):
     def initial_point(self):
         return np.sum([np.einsum("ij,ij->i", P, P) for P in self.Ps], axis=0)
 
-    def barrier(self, pt):
-        return self._dual.barrier(pt)
+    def _barrier(self, pt):
+        return self._dual._barrier(pt)
 
     def grad(self, pt):
         return self._dual.grad(pt)
 
     def hess(self, pt):
         return self._dual.hess(pt)
+
+
+# ---------------------------------------------------------------------------
+# runs of equal blocks
+# ---------------------------------------------------------------------------
+
+
+class _Run(Cone):
+    """r adjacent copies of one stackable cone K, evaluated as one block.
+
+    Each oracle calls K's formula once on the (r, K.dim) stack of the block's
+    rows, which keep their order. The Hessian is the dense block-diagonal
+    matrix; ``inv_hess_quad`` is the sum of K's closed form over the members,
+    or else comes from one batched Cholesky of their Hessians. ``_products``
+    keeps one s'z/nu per member, so the neighbourhood test stays per block.
+    """
+
+    def __init__(self, K: Cone, r: int):
+        self.K, self.r = K, r
+        self.tag = K.tag
+        self.dim, self.nu = r * K.dim, r * K.nu
+
+    def __repr__(self):
+        return f"_Run({self.K!r}, r={self.r})"
+
+    def _stack(self, pt):
+        return pt.reshape(self.r, self.K.dim)
+
+    def primal_margins(self, s):
+        return self.K.primal_margins(self._stack(s))
+
+    def dual_margins(self, z):
+        return self.K.dual_margins(self._stack(z))
+
+    def initial_point(self):
+        return np.tile(self.K.initial_point(), self.r)
+
+    def _barrier(self, pt):
+        return self.K._barrier(self._stack(pt))
+
+    def grad(self, pt):
+        return self.K.grad(self._stack(pt)).ravel()
+
+    def hess(self, pt):
+        k, i = self.K.dim, np.arange(self.r)
+        H = np.zeros((self.r, k, self.r, k))
+        H[i, :, i, :] = self.K.hess(self._stack(pt))
+        return H.reshape(self.dim, self.dim)
+
+    def inv_hess_quad(self, pt, v):
+        S, V = self._stack(pt), self._stack(v)
+        quad = self.K.inv_hess_quad(S, V)
+        if quad is not None:
+            return float(np.sum(quad))
+        try:
+            L = np.linalg.cholesky(self.K.hess(S))
+        except np.linalg.LinAlgError:
+            return None  # the caller factors the block-diagonal Hessian
+        y = np.linalg.solve(L, V[..., None])
+        return float(np.sum(y * y))
+
+    def _products(self, s, z):
+        return (_dot(self._stack(s), self._stack(z))[:, 0] / self.K.nu).tolist()
+
+
+def _stack_runs(blocks) -> tuple:
+    """``blocks`` with each run of two or more equal stackable blocks as one ``_Run``."""
+    runs = []  # [block, count]
+    for K in blocks:
+        if runs and K._stackable and runs[-1][0] == K:
+            runs[-1][1] += 1
+        else:
+            runs.append([K, 1])
+    return tuple(_Run(K, n) if n > 1 else K for K, n in runs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,17 @@ Hessian oracles for each cone block.
 Cone blocks whose barrier lives on the dual side enter the linearized system
 with the Hessian applied to the dual direction; that is the only place the
 ``uses_dual_barrier`` flag changes behavior.
+
+``solve`` iterates on the problem with each run of adjacent equal blocks of a
+stackable cone grouped into one block (``cones._Run``) whose oracles evaluate
+the whole run at once. Rows keep their order, so only the number of oracle
+calls changes; the neighbourhood test still checks each original block's
+complementarity product.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,7 +29,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
-from .cones import NotInteriorError
+from .cones import NotInteriorError, _stack_runs
 from .model import ConicProblem, PrimalDualPoint, residual_eps, residual_terms
 
 __all__ = [
@@ -262,8 +269,12 @@ class _KKTSystem:
         GD = G[self.dual_rows]
         self.hD = h[self.dual_rows]
 
+        # K2 is assembled in place, column-major so that the LU overwrites it
+        dim = n + p + qd
+        K2 = np.zeros((dim, dim), order="F")
+        reg = _STATIC_REG
         # Schur contribution and tau-column pieces from primal-barrier blocks
-        S = np.zeros((n, n))
+        S = K2[:n, :n]
         GMh = np.zeros(n)
         hMh = 0.0
         self.Mprimal = []
@@ -278,25 +289,23 @@ class _KKTSystem:
         self.GMh = GMh
         self.hMh = hMh
 
-        reg = _STATIC_REG
-        dim = n + p + qd
-        K2 = np.zeros((dim, dim))
-        K2[:n, :n] = S + reg * np.eye(n)
         K2[:n, n : n + p] = A.T
         K2[n : n + p, :n] = A
-        K2[n : n + p, n : n + p] = -reg * np.eye(p)
         if qd:
             K2[:n, n + p :] = GD.T
             K2[n + p :, :n] = GD
-            HD = np.zeros((qd, qd))
-            off = 0
+            off = n + p
             for K, sl, H in self.dual:
-                d = sl.stop - sl.start
-                HD[off : off + d, off : off + d] = mu * 0.5 * (H + H.T)
-                off += d
-            K2[n + p :, n + p :] = -HD - reg * np.eye(qd)
+                blk = K2[off : off + H.shape[0], off : off + H.shape[0]]
+                np.add(H, H.T, out=blk)
+                blk *= -0.5 * mu
+                off += H.shape[0]
+        # static regularization: +reg on the dx diagonal, -reg on the dy and dz ones
+        i = np.arange(dim)
+        K2[i[:n], i[:n]] += reg
+        K2[i[n:], i[n:]] -= reg
         try:
-            self.lu = sla.lu_factor(K2)
+            self.lu = sla.lu_factor(K2, overwrite_a=True)
         except (sla.LinAlgError, ValueError) as exc:
             raise _KKTError("KKT factorization failed") from exc
 
@@ -429,6 +438,12 @@ def _step(it: HSDEIterate, d: Direction, alpha: float) -> HSDEIterate:
 
 
 def _trial_ok(problem, trial, beta, enforce_neighborhood):
+    """Strict interiority of every block, then the neighbourhood test.
+
+    A stacked run of blocks is tested for interiority at once, but its
+    ``_products`` give one s_b'z_b/nu_b per original block, so the
+    neighbourhood test is the same as on the ungrouped problem.
+    """
     if trial.tau <= 0.0 or trial.kappa <= 0.0:
         return False
     prods = []
@@ -444,7 +459,7 @@ def _trial_ok(problem, trial, beta, enforce_neighborhood):
                 return False
             if K.cheap_dual_test and not K.in_dual_interior(z_b):
                 return False
-        prods.append(float(s_b @ z_b) / K.nu)
+        prods.extend(K._products(s_b, z_b))
     if enforce_neighborhood:
         mu = mu_of(problem, trial)
         # reject steps that land numerically on the boundary (mu starts at 1
@@ -471,7 +486,9 @@ def line_search(
     the barrier side of each block plus the opposite side whenever that test
     is cheap; with ``enforce_neighborhood`` the blockwise complementarity
     products s_b'z_b/nu_b (and tau*kappa) must stay within [beta, 1/beta]
-    times the global mu. Returns 0.0 when no acceptable step exists.
+    times the global mu. A stacked run of equal blocks is tested for
+    interiority as one block, but its products stay one per original block.
+    Returns 0.0 when no acceptable step exists.
     """
     options = options or SolveOptions()
     alpha = 1.0
@@ -489,7 +506,8 @@ def _proximity(problem, it, oracles, mu):
     """Scaled distance to the mu-center, measured in the local Hessian norms.
 
     A block's term psi' H^-1 psi comes from the cone's closed form where it
-    has one (nonneg and PSD blocks); every other block factors its Hessian.
+    has one (nonneg, second-order, max-norm and PSD blocks, and runs of them);
+    every other block factors its Hessian.
     """
     total = (it.tau * it.kappa - mu) ** 2
     for K, sl, g, H in zip(problem.cones, oracles.slices, oracles.grads, oracles.hesses):
@@ -594,6 +612,20 @@ def _finish(problem, it, status, iters, t0, mu_hist):
     )
 
 
+def _stacked(problem: ConicProblem) -> ConicProblem:
+    """``problem`` with each run of equal stackable blocks as one block.
+
+    The data arrays are shared and the rows keep their order, so iterates,
+    residuals and the returned point mean the same on either problem.
+    """
+    blocks = _stack_runs(problem.cones)
+    if len(blocks) == len(problem.cones):
+        return problem
+    stacked = copy.copy(problem)
+    stacked.cones = blocks
+    return stacked
+
+
 def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveResult:
     """Solve the conic problem via the homogeneous self-dual embedding.
 
@@ -605,6 +637,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
     """
     options = options or SolveOptions()
     t0 = time.perf_counter()
+    problem = _stacked(problem)
     it = hsde_init(problem)
     mu_hist = [mu_of(problem, it)]
     stall_count = 0

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import boundary_point, sample_barrier_point, small_catalog
 from natcone import cones as C
@@ -127,6 +132,17 @@ class TestGradExamples:
             barrier_grad(C.Nonneg(2), [1.0, -1.0])
         with pytest.raises(NotInteriorError):
             barrier_hess(C.EpiNorm2(2), [1.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize("K", small_catalog(), ids=lambda K: K.tag)
+    def test_barrier_outside_domain_raises(self, K):
+        # one guard for every cone: no math-domain ValueError, NaN or warning
+        pts = [np.zeros(K.dim), -K.initial_point(), np.ones(K.dim + 1), np.full(K.dim, np.nan)]
+        pts.append(boundary_point(K, np.random.default_rng(21)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pt in pts:
+                with pytest.raises(NotInteriorError):
+                    K.barrier(pt)
 
 
 class TestHessExamples:
@@ -259,7 +275,10 @@ class TestPsdHessianReference:
 
 class TestInverseHessianQuad:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
-    @pytest.mark.parametrize("kind", [C.Nonneg, C.PosSemidef])
+    @pytest.mark.parametrize(
+        "kind",
+        [C.Nonneg, C.PosSemidef, C.EpiNorm2, C.EpiPerSquare, C.EpiNormInf, C.EpiNormInfDual],
+    )
     def test_closed_form_matches_dense_solve(self, kind, d):
         K = kind(d)
         rng = np.random.default_rng(60 + d)
@@ -274,8 +293,82 @@ class TestInverseHessianQuad:
         assert K.inv_hess_quad(svec(-np.eye(2)), np.ones(3)) == np.inf
 
     def test_other_cones_have_no_closed_form(self):
-        K = C.EpiNorm2(2)
-        assert K.inv_hess_quad(K.initial_point(), np.ones(3)) is None
+        K = C.HypoPerLog(2)
+        assert K.inv_hess_quad(K.initial_point(), np.ones(4)) is None
+
+
+STACKABLE = [C.Nonneg, C.EpiNorm2, C.EpiPerSquare, C.HypoPerLog]
+PLACES = ["interior", "boundary", "exterior", "zero", "negated"]
+
+
+def _member_point(K, rng, place):
+    if place == "interior":
+        return sample_barrier_point(K, rng)
+    if place == "boundary":
+        return boundary_point(K, rng)
+    if place == "exterior":
+        return rng.standard_normal(K.dim)
+    if place == "zero":
+        return np.zeros(K.dim)
+    return -sample_barrier_point(K, rng)
+
+
+class TestStackedRuns:
+    """A run of equal blocks evaluated as one stacked block matches its members."""
+
+    @pytest.mark.parametrize("kind", STACKABLE, ids=lambda kind: kind.tag)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        places=st.lists(st.sampled_from(PLACES), min_size=2, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_membership_is_all_of_members(self, kind, d, places, seed):
+        K = kind(d)
+        rng = np.random.default_rng(seed)
+        pts = [_member_point(K, rng, place) for place in places]
+        run, flat = C._Run(K, len(pts)), np.concatenate(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run.in_interior(flat) == all(K.in_interior(p) for p in pts)
+            assert run.in_dual_interior(flat) == all(K.in_dual_interior(p) for p in pts)
+            for margins, member in ((run.primal_margins, K.primal_margins),
+                                    (run.dual_margins, K.dual_margins)):
+                want = np.stack([member(p) for p in pts])
+                assert np.array_equal(margins(flat), want)
+
+    @pytest.mark.parametrize("kind", STACKABLE, ids=lambda kind: kind.tag)
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), r=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_oracles_match_members(self, kind, d, r, seed):
+        K, run = kind(d), C._Run(kind(d), r)
+        rng = np.random.default_rng(seed)
+        pts = [sample_barrier_point(K, rng) for _ in range(r)]
+        vs = [rng.standard_normal(K.dim) for _ in range(r)]
+        zs = [-K.grad(p) for p in pts]
+        flat, v, z = np.concatenate(pts), np.concatenate(vs), np.concatenate(zs)
+        assert np.array_equal(run.grad(flat), np.concatenate([K.grad(p) for p in pts]))
+        assert np.array_equal(run.hess(flat), sla.block_diag(*[K.hess(p) for p in pts]))
+        assert run._products(flat, z) == [K._products(p, w)[0] for p, w in zip(pts, zs)]
+        assert run.barrier(flat) == pytest.approx(sum(K.barrier(p) for p in pts), rel=1e-14)
+        quads = [K.inv_hess_quad(p, w) for p, w in zip(pts, vs)]
+        if quads[0] is None:
+            quads = [w @ sla.cho_solve(sla.cho_factor(K.hess(p)), w) for p, w in zip(pts, vs)]
+            rel = 1e-10
+        else:
+            rel = 1e-14
+        want = sum(quads)
+        assert abs(run.inv_hess_quad(flat, v) - want) <= rel * abs(want)
+
+    def test_only_runs_of_stackable_blocks_are_grouped(self):
+        blocks = [C.Nonneg(1), C.Nonneg(1), C.Nonneg(2), C.PosSemidef(2), C.PosSemidef(2)]
+        blocks += [C.HypoPerLog(1)] * 3 + [C.EpiNorm2(1), C.EpiPerSquare(1)]
+        runs = C._stack_runs(blocks)
+        assert [type(K).__name__ for K in runs] == [
+            "_Run", "Nonneg", "PosSemidef", "PosSemidef", "_Run", "EpiNorm2", "EpiPerSquare"
+        ]
+        assert (runs[0].r, runs[4].r, runs[4].tag, runs[4].nu) == (2, 3, "hypoperlog", 9.0)
+        assert all(K is blocks[i] for K, i in zip(runs[1:4], (2, 3, 4)))
 
 
 class TestWsosSpecifics:

@@ -402,3 +402,27 @@ class TestSolve:
         res = solve(random_feasible([Flaky(3)], seed=4))
         assert Flaky.calls == 3
         assert res.status is SolveStatus.NUMERICAL_ERROR
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        ("expdesign", 3, None, "rt", 0, "ef-exp"),
+        ("expdesign", 3, None, "rt", 0, "ef-sec"),
+        ("expdesign", 8, None, "rt", 0, "ef-exp"),
+        ("expdesign", 8, None, "rt", 0, "ef-sec"),
+        ("matcompletion", 3, 5, None, 0, "ef-exp"),
+    ],
+    ids=lambda cell: "-".join(str(v) for v in cell if v is not None),
+)
+def test_stacked_runs_keep_the_path(cell, monkeypatch):
+    # grouping runs of equal blocks changes how often oracles are called,
+    # not the iterates: same status and iterations as block by block
+    prob, _ = build_instance(InstanceSpec(*cell))
+    assert len(C._stack_runs(prob.cones)) < len(prob.cones)
+    stacked = solve(prob)
+    monkeypatch.setattr(solver, "_stack_runs", tuple)
+    blockwise = solve(prob)
+    assert stacked.status is blockwise.status is SolveStatus.OPTIMAL
+    assert stacked.iterations == blockwise.iterations
+    assert stacked.primal_obj == pytest.approx(blockwise.primal_obj, rel=1e-9, abs=1e-9)
