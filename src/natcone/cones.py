@@ -106,13 +106,13 @@ def _dot(a, b):
 
 def _add_diag(H, v):
     """Add v to the diagonal of every matrix of the stack H, in place."""
-    i = np.arange(H.shape[-1])
-    H[..., i, i] += v
+    diag = np.einsum("...ii->...i", H)  # a writable view
+    diag += v
 
 
 def _positive(m: np.ndarray) -> bool:
     """Every margin finite and strictly positive (true when there are none)."""
-    return bool(m.size == 0 or (np.all(np.isfinite(m)) and np.min(m) > 0.0))
+    return bool(m.size == 0 or (np.isfinite(m).all() and m.min() > 0.0))
 
 
 class Cone:
@@ -174,7 +174,7 @@ class Cone:
     def _strict(self, pt, test):
         """test(pt) on a finite point of shape (dim,); False on any other point."""
         pt = np.asarray(pt, dtype=float)
-        if pt.shape != (self.dim,) or not np.all(np.isfinite(pt)):
+        if pt.shape != (self.dim,) or not np.isfinite(pt).all():
             return False
         return test(pt)
 

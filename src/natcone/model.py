@@ -72,7 +72,7 @@ def _as_dense(M, what: str) -> np.ndarray:
 
 
 def _inf_norm(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 class ConicProblem:

@@ -22,6 +22,7 @@ complementarity product.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cones import NotInteriorError, _stack_runs
-from .model import ConicProblem, PrimalDualPoint, residual_eps, residual_terms
+from .model import ConicProblem, PrimalDualPoint, _inf_norm, residual_eps, residual_terms
 
 __all__ = [
     "SolveOptions",
@@ -286,8 +287,6 @@ class _KKTSystem:
             Mhb = Mb @ h[sl]
             GMh += G[sl].T @ Mhb
             hMh += float(h[sl] @ Mhb)
-        self.GMh = GMh
-        self.hMh = hMh
 
         K2[:n, n : n + p] = A.T
         K2[n : n + p, :n] = A
@@ -304,16 +303,29 @@ class _KKTSystem:
         i = np.arange(dim)
         K2[i[:n], i[:n]] += reg
         K2[i[n:], i[n:]] -= reg
+        # no library finiteness checks: a non-finite K2 or right-hand side
+        # shows up as a non-finite w2 or direction, which is tested once
         try:
-            self.lu = sla.lu_factor(K2, overwrite_a=True)
-        except (sla.LinAlgError, ValueError) as exc:
+            self.lu = sla.lu_factor(K2, overwrite_a=True, check_finite=False)
+        except sla.LinAlgError as exc:
             raise _KKTError("KKT factorization failed") from exc
 
         # second solve: coefficient of dtau in the reduced system
         rhs2 = np.concatenate((-(c - GMh), b, self.hD))
-        self.w2 = sla.lu_solve(self.lu, rhs2)
-        if not np.all(np.isfinite(self.w2)):
+        self.w2 = w2 = sla.lu_solve(self.lu, rhs2, check_finite=False)
+        if not np.isfinite(w2).all():
             raise _KKTError("singular KKT system")
+        # the dtau row's data and denominator are the same for every solve
+        self.cp = c + GMh
+        self.denom = (
+            -float(self.cp @ w2[:n])
+            - float(b @ w2[n : n + p])
+            - float(self.hD @ w2[n + p :])
+            + hMh
+            + it.kappa / it.tau
+        )
+        if not np.isfinite(self.denom) or abs(self.denom) < 1e-300:
+            raise _KKTError("singular reduced system")
 
     def solve(self, r1, r2, r3, r4, r5, r6) -> Direction:
         pr = self.problem
@@ -327,24 +339,14 @@ class _KKTSystem:
             u1 -= pr.G[sl].T @ RMr3
             hRM += float(pr.h[sl] @ RMr3)
         rhsD = -(r3[self.dual_rows] + r5[self.dual_rows]) if qd else np.zeros(0)
-        w1 = sla.lu_solve(self.lu, np.concatenate((u1, -r2, rhsD)))
+        w1 = sla.lu_solve(self.lu, np.concatenate((u1, -r2, rhsD)), check_finite=False)
         u4 = r4 + hRM + r6 / it.tau
-        cp = pr.c + self.GMh
-        denom = (
-            -float(cp @ self.w2[:n])
-            - float(pr.b @ self.w2[n : n + p])
-            - float(self.hD @ self.w2[n + p :])
-            + self.hMh
-            + it.kappa / it.tau
-        )
-        if not np.isfinite(denom) or abs(denom) < 1e-300:
-            raise _KKTError("singular reduced system")
         dtau = (
             u4
-            + float(cp @ w1[:n])
+            + float(self.cp @ w1[:n])
             + float(pr.b @ w1[n : n + p])
             + float(self.hD @ w1[n + p :])
-        ) / denom
+        ) / self.denom
         sol = w1 + dtau * self.w2
         dx = sol[:n]
         dy = sol[n : n + p]
@@ -356,13 +358,16 @@ class _KKTSystem:
         if qd:
             dz[self.dual_rows] = sol[n + p :]
         dkappa = (r6 - it.kappa * dtau) / it.tau
-        d = Direction(dx, dy, dz, dtau, ds, dkappa)
-        if not all(
-            np.all(np.isfinite(np.atleast_1d(v)))
-            for v in (dx, dy, dz, dtau, ds, dkappa)
+        # sol holds dx, dy and the dual-barrier rows of dz
+        if not (
+            np.isfinite(sol).all()
+            and np.isfinite(dz).all()
+            and np.isfinite(ds).all()
+            and math.isfinite(dtau)
+            and math.isfinite(dkappa)
         ):
             raise _KKTError("non-finite direction")
-        return d
+        return Direction(dx, dy, dz, dtau, ds, dkappa)
 
     def equation_residuals(self, d: Direction, r1, r2, r3, r4, r5, r6):
         """Residuals of the full linearized system at a candidate direction."""
@@ -518,8 +523,8 @@ def _proximity(problem, it, oracles, mu):
             continue
         Hs = 0.5 * (H + H.T)
         try:
-            cho = sla.cho_factor(Hs)
-            total += float(psi @ sla.cho_solve(cho, psi))
+            cho = sla.cho_factor(Hs, check_finite=False)
+            total += float(psi @ sla.cho_solve(cho, psi, check_finite=False))
         except sla.LinAlgError:
             # Hessian condition nears 1/mu^2 close to convergence, where
             # Cholesky can report numerical indefiniteness: invert through
@@ -550,10 +555,6 @@ def check_termination(
     improving-ray conditions after normalizing the violated inequality to one.
     """
     c, b, h, A, G = problem.c, problem.b, problem.h, problem.A, problem.G
-
-    def inf_norm(v):
-        return float(np.max(np.abs(v))) if np.size(v) else 0.0
-
     if it.tau > 1e-6 * max(1.0, it.kappa):
         t1, t2, t3, t4 = residual_terms(
             problem, it.x / it.tau, it.y / it.tau, it.z / it.tau, it.s / it.tau
@@ -563,14 +564,14 @@ def check_termination(
 
     ray_gap = -float(b @ it.y) - float(h @ it.z)
     if ray_gap > 0.0:
-        if inf_norm(A.T @ (it.y / ray_gap) + G.T @ (it.z / ray_gap)) <= options.tol_feas:
+        if _inf_norm(A.T @ (it.y / ray_gap) + G.T @ (it.z / ray_gap)) <= options.tol_feas:
             return SolveStatus.PRIMAL_INFEASIBLE
     ray_obj = -float(c @ it.x)
     if ray_obj > 0.0:
         xr = it.x / ray_obj
         if (
-            inf_norm(A @ xr) <= options.tol_feas
-            and inf_norm(G @ xr + it.s / ray_obj) <= options.tol_feas
+            _inf_norm(A @ xr) <= options.tol_feas
+            and _inf_norm(G @ xr + it.s / ray_obj) <= options.tol_feas
         ):
             return SolveStatus.DUAL_INFEASIBLE
     return None
@@ -642,11 +643,13 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
     mu_hist = [mu_of(problem, it)]
     stall_count = 0
     oracles = None  # barrier oracles at ``it`` once evaluated, else None
+    checked = False  # ``it`` already passed check_termination without a status
 
     for outer in range(1, options.max_iters + 1):
-        status = check_termination(problem, it, options)
-        if status is not None:
-            return _finish(problem, it, status, outer - 1, t0, mu_hist)
+        if not checked:
+            status = check_termination(problem, it, options)
+            if status is not None:
+                return _finish(problem, it, status, outer - 1, t0, mu_hist)
         if time.perf_counter() - t0 > options.time_limit:
             return _finish(problem, it, SolveStatus.TIME_LIMIT, outer - 1, t0, mu_hist)
 
@@ -666,6 +669,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
             status = check_termination(problem, it, options)
             if status is not None:
                 return _finish(problem, it, status, outer, t0, mu_hist)
+            checked = True
 
             for _ in range(options.max_center_steps):
                 oracles = _Oracles(problem, it)
@@ -678,7 +682,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
                 ac = line_search(problem, it, dc, options, enforce_neighborhood=False)
                 if ac <= 0.0:
                     break
-                it, oracles = _step(it, dc, ac), None
+                it, oracles, checked = _step(it, dc, ac), None, False
         except _KKTError:
             return _finish(problem, it, SolveStatus.NUMERICAL_ERROR, outer, t0, mu_hist)
 
@@ -691,7 +695,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
         if stall_count >= options.slow_progress_window:
             return _finish(problem, it, SolveStatus.SLOW_PROGRESS, outer, t0, mu_hist)
 
-    status = check_termination(problem, it, options)
+    status = None if checked else check_termination(problem, it, options)
     if status is None:
         status = SolveStatus.ITERATION_LIMIT
     return _finish(problem, it, status, options.max_iters, t0, mu_hist)

@@ -362,6 +362,21 @@ class TestSolve:
             for u, v in zip(vars(a).values(), vars(b).values()):
                 assert np.array_equal(u, v), target
 
+    def test_one_termination_check_per_iterate(self, monkeypatch):
+        # an iterate the centering loop did not move is not checked again
+        keys = []
+        orig = solver.check_termination
+
+        def recording(problem, it, options):
+            keys.append((it.x.tobytes(), it.s.tobytes(), it.z.tobytes(), it.tau, it.kappa))
+            return orig(problem, it, options)
+
+        monkeypatch.setattr(solver, "check_termination", recording)
+        prob, _ = build_instance(InstanceSpec("expdesign", 3, None, "rt", 0, "ef-exp"))
+        res = solve(prob)
+        assert res.status is SolveStatus.OPTIMAL
+        assert keys and len(set(keys)) == len(keys)
+
     def test_one_domain_test_per_block(self, monkeypatch):
         # the line search's interiority test covers every accepted iterate,
         # so only the initial iterate's blocks are tested for the domain
@@ -388,19 +403,33 @@ class TestSolve:
         with pytest.raises(solver._KKTError):
             compute_directions(prob, it, "predict")
 
-    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, C.NotInteriorError])
-    def test_oracle_failure_is_numerical_error(self, exc):
+    @pytest.mark.parametrize(
+        "method, fault, at",
+        [
+            ("hess", np.linalg.LinAlgError, 3),
+            ("hess", C.NotInteriorError, 3),
+            ("hess", "nan", 3),
+            ("grad", "nan", 4),
+            ("grad", "nan", 11),
+        ],
+    )
+    def test_oracle_failure_is_numerical_error(self, method, fault, at):
+        # an oracle that raises or returns NaN ends the solve with a status
         class Flaky(C.EpiNorm2):
             calls = 0
 
-            def hess(self, s):
-                Flaky.calls += 1
-                if Flaky.calls == 3:
-                    raise exc("oracle failed")
-                return super().hess(s)
+        def flaky(K, s):
+            Flaky.calls += 1
+            out = getattr(C.EpiNorm2, method)(K, s)
+            if Flaky.calls == at:
+                if fault != "nan":
+                    raise fault("oracle failed")
+                out[..., -1] = np.nan
+            return out
 
+        setattr(Flaky, method, flaky)
         res = solve(random_feasible([Flaky(3)], seed=4))
-        assert Flaky.calls == 3
+        assert Flaky.calls == at
         assert res.status is SolveStatus.NUMERICAL_ERROR
 
 
