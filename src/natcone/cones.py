@@ -75,8 +75,8 @@ def _posdef_chol(M: np.ndarray, pivot_floor: float = 0.0):
     except np.linalg.LinAlgError:
         return None
     if pivot_floor > 0.0:
-        scale = 1.0 + float(np.max(np.diag(M))) if M.size else 1.0
-        if np.min(np.diag(L)) ** 2 < pivot_floor * scale:
+        scale = 1.0 + float(M.diagonal().max()) if M.size else 1.0
+        if L.diagonal().min() ** 2 < pivot_floor * scale:
             return None
     return L
 
