@@ -124,9 +124,9 @@ class Cone:
     # auxiliary optimization and is too slow for per-trial line-search checks.
     cheap_primal_test = True
     cheap_dual_test = True
-    # True where margins, strict tests, grad, hess and inv_hess_quad also take
-    # a stack of points, shape (r, dim), so that a run of equal blocks can be
-    # evaluated as one ``_Run``
+    # True where margins, strict tests, grad, hess and a closed-form
+    # inv_hess_quad also take a stack of points, shape (r, dim), so that a run
+    # of equal blocks can be evaluated as one ``_Run``
     _stackable = False
 
     dim: int
@@ -779,6 +779,18 @@ class HypoPerLog(_SizedByD):
         H[..., 2:, 1] = H[..., 1, 2:]
         return H
 
+    def inv_hess_quad(self, pt, y):
+        # Eliminating u leaves an arrow matrix on (v, w): diagonal
+        # (v + xi)/(w_i^2 xi) on w, whose Schur scalar for v simplifies to
+        # d/(v(v + xi)) + 1/v^2. Every term is positive, so nothing cancels.
+        u, v, w, sigma, xi = self._core(pt)
+        yu, yv, yw = y[..., :1], y[..., 1:2], y[..., 2:]
+        vxi = v + xi
+        wy = w * yw + v * yu
+        lead = yv + sigma * yu + wy.sum(axis=-1, keepdims=True) / vxi
+        schur = self.d / (v * vxi) + 1.0 / v**2
+        return ((xi * yu) ** 2 + (xi / vxi) * _dot(wy, wy) + lead**2 / schur)[..., 0]
+
 
 class HypoPerLogDet(_SizedByD):
     """Perspective-logdet hypograph {(u, v > 0, svec(W)): W pd, u <= v logdet(W/v)}.
@@ -1003,9 +1015,9 @@ class _Run(Cone):
 
     Each oracle calls K's formula once on the (r, K.dim) stack of the block's
     rows, which keep their order. The Hessian is the dense block-diagonal
-    matrix; ``inv_hess_quad`` is the sum of K's closed form over the members,
-    or else comes from one batched Cholesky of their Hessians. ``_products``
-    keeps one s'z/nu per member, so the neighbourhood test stays per block.
+    matrix; ``inv_hess_quad`` is the sum of K's closed form over the members.
+    ``_products`` keeps one s'z/nu per member, so the neighbourhood test stays
+    per block.
     """
 
     def __init__(self, K: Cone, r: int):
@@ -1041,16 +1053,7 @@ class _Run(Cone):
         return H.reshape(self.dim, self.dim)
 
     def inv_hess_quad(self, pt, v):
-        S, V = self._stack(pt), self._stack(v)
-        quad = self.K.inv_hess_quad(S, V)
-        if quad is not None:
-            return float(np.sum(quad))
-        try:
-            L = np.linalg.cholesky(self.K.hess(S))
-        except np.linalg.LinAlgError:
-            return None  # the caller factors the block-diagonal Hessian
-        y = np.linalg.solve(L, V[..., None])
-        return float(np.sum(y * y))
+        return float(np.sum(self.K.inv_hess_quad(self._stack(pt), self._stack(v))))
 
     def _products(self, s, z):
         return (_dot(self._stack(s), self._stack(z))[:, 0] / self.K.nu).tolist()

@@ -511,7 +511,8 @@ def _proximity(problem, it, oracles, mu):
     """Scaled distance to the mu-center, measured in the local Hessian norms.
 
     A block's term psi' H^-1 psi comes from the cone's closed form where it
-    has one (nonneg, second-order, max-norm and PSD blocks, and runs of them);
+    has one (nonneg, second-order, max-norm, PSD and perspective-log blocks,
+    and runs of them);
     every other block factors its Hessian.
     """
     total = (it.tau * it.kappa - mu) ** 2
