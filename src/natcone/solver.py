@@ -512,8 +512,7 @@ def _proximity(problem, it, oracles, mu):
 
     A block's term psi' H^-1 psi comes from the cone's closed form where it
     has one (nonneg, second-order, max-norm, PSD and perspective-log blocks,
-    and runs of them);
-    every other block factors its Hessian.
+    and runs of them); every other block factors its Hessian.
     """
     total = (it.tau * it.kappa - mu) ** 2
     for K, sl, g, H in zip(problem.cones, oracles.slices, oracles.grads, oracles.hesses):
