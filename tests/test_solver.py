@@ -406,11 +406,11 @@ class TestSolve:
     @pytest.mark.parametrize(
         "method, fault, at",
         [
-            ("hess", np.linalg.LinAlgError, 3),
-            ("hess", C.NotInteriorError, 3),
-            ("hess", "nan", 3),
-            ("grad", "nan", 4),
-            ("grad", "nan", 11),
+            pytest.param("hess", np.linalg.LinAlgError, 3, id="LinAlgError"),
+            pytest.param("hess", C.NotInteriorError, 3, id="NotInteriorError"),
+            pytest.param("hess", "nan", 3, id="hess-nan"),
+            pytest.param("grad", "nan", 4, id="grad-nan-4"),
+            pytest.param("grad", "nan", 11, id="grad-nan-11"),
         ],
     )
     def test_oracle_failure_is_numerical_error(self, method, fault, at):
