@@ -53,8 +53,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         ap.error(str(exc))
     options = SolveOptions(
-        tol_feas=args.tol,
-        tol_gap=args.tol,
+        tol=args.tol,
         max_iters=args.max_iters,
         time_limit=args.time_limit,
     )

@@ -960,7 +960,7 @@ def _wsos_primal_margins(Ps, w):
         roff += dd
         off += dd
     prob = ConicProblem(c, A, w, G, h, blocks)
-    res = solve(prob, SolveOptions(tol_feas=1e-8, tol_gap=1e-8, max_iters=200, time_limit=60.0))
+    res = solve(prob, SolveOptions(tol=1e-8, max_iters=200, time_limit=60.0))
     if res.status.value == "optimal":
         return np.array([-res.primal_obj])
     if res.status.value == "primal_infeasible":

@@ -26,6 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg as sla
@@ -61,42 +62,35 @@ class SolveStatus(Enum):
 
 @dataclass
 class SolveOptions:
-    tol_feas: float = 1e-7
-    tol_gap: float = 1e-7
+    """Stopping rules of one solve.
+
+    ``tol`` bounds the scaled feasibility residuals, the relative gap and
+    the improving-ray residuals; ``max_iters`` caps the outer iterations and
+    ``time_limit`` the wall time in seconds. The stepper's settings are
+    fixed class constants, the same for every solve, so that every
+    formulation of a problem is solved by the same method.
+    """
+
+    tol: float = 1e-7
     max_iters: int = 500
     time_limit: float = 1800.0
-    neighborhood_beta: float = 0.1
-    step_backtrack: float = 0.8
-    max_backtracks: int = 40
-    min_step: float = 1e-10
-    centering_tol: float = 0.25
-    max_center_steps: int = 20
-    slow_progress_window: int = 20
-    slow_progress_factor: float = 0.999
+
+    neighborhood_beta: ClassVar[float] = 0.1
+    step_backtrack: ClassVar[float] = 0.8
+    max_backtracks: ClassVar[int] = 40
+    min_step: ClassVar[float] = 1e-10
+    centering_tol: ClassVar[float] = 0.25
+    max_center_steps: ClassVar[int] = 20
+    slow_progress_window: ClassVar[int] = 20
+    slow_progress_factor: ClassVar[float] = 0.999
 
     def __post_init__(self):
-        if self.tol_feas <= 0 or self.tol_gap <= 0:
-            raise ValueError("tolerances must be positive")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.time_limit >= 0.0:
             raise ValueError("time_limit must be >= 0")
-        if not (0.0 < self.neighborhood_beta < 1.0):
-            raise ValueError("neighborhood_beta must lie in (0, 1)")
-        if not (0.0 < self.step_backtrack < 1.0):
-            raise ValueError("step_backtrack must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
-        if not self.min_step > 0.0:
-            raise ValueError("min_step must be positive")
-        if not self.centering_tol > 0.0:
-            raise ValueError("centering_tol must be positive")
-        if self.max_center_steps < 0:
-            raise ValueError("max_center_steps must be >= 0")
-        if self.slow_progress_window < 1:
-            raise ValueError("slow_progress_window must be >= 1")
-        if not (0.0 < self.slow_progress_factor <= 1.0):
-            raise ValueError("slow_progress_factor must lie in (0, 1]")
 
 
 @dataclass
@@ -117,12 +111,6 @@ class Direction:
     dtau: float
     ds: np.ndarray
     dkappa: float
-
-    def scaled_norm(self):
-        return max(
-            float(np.max(np.abs(v))) if np.size(v) else 0.0
-            for v in (self.dx, self.dy, self.dz, self.dtau, self.ds, self.dkappa)
-        )
 
 
 @dataclass
@@ -178,6 +166,11 @@ def hsde_residuals(problem: ConicProblem, it: HSDEIterate):
 # diagonal regularization of the quasi-definite system; survives
 # rank-deficient A or G without a presolve pass
 _STATIC_REG = 1e-10
+
+# mu at or below which an iterate is numerically on the boundary: the line
+# search rejects it and centering stops there (mu starts at 1, and any
+# tolerable terminal mu is far above this floor)
+_MU_FLOOR = 1e-14
 
 
 class _KKTError(RuntimeError):
@@ -442,7 +435,7 @@ def _step(it: HSDEIterate, d: Direction, alpha: float) -> HSDEIterate:
     )
 
 
-def _trial_ok(problem, trial, beta, enforce_neighborhood):
+def _trial_ok(problem, trial, enforce_neighborhood):
     """Strict interiority of every block, then the neighbourhood test.
 
     A stacked run of blocks is tested for interiority at once, but its
@@ -467,10 +460,10 @@ def _trial_ok(problem, trial, beta, enforce_neighborhood):
         prods.extend(K._products(s_b, z_b))
     if enforce_neighborhood:
         mu = mu_of(problem, trial)
-        # reject steps that land numerically on the boundary (mu starts at 1
-        # and any tolerable terminal mu is far above this floor)
-        if mu <= 1e-14:
+        # reject steps that land numerically on the boundary
+        if mu <= _MU_FLOOR:
             return False
+        beta = SolveOptions.neighborhood_beta
         lo, hi = beta * mu, mu / beta
         prods.append(trial.tau * trial.kappa)
         if any(p < lo or p > hi for p in prods):
@@ -482,12 +475,12 @@ def line_search(
     problem: ConicProblem,
     it: HSDEIterate,
     direction: Direction,
-    options: SolveOptions | None = None,
+    *,
     enforce_neighborhood: bool = True,
 ) -> float:
     """Backtracking step size keeping every block strictly interior.
 
-    Starts at one and shrinks by ``step_backtrack``. Interiority is tested on
+    Starts at one and shrinks by ``SolveOptions.step_backtrack``. Interiority is tested on
     the barrier side of each block plus the opposite side whenever that test
     is cheap; with ``enforce_neighborhood`` the blockwise complementarity
     products s_b'z_b/nu_b (and tau*kappa) must stay within [beta, 1/beta]
@@ -495,14 +488,13 @@ def line_search(
     interiority as one block, but its products stay one per original block.
     Returns 0.0 when no acceptable step exists.
     """
-    options = options or SolveOptions()
     alpha = 1.0
-    for _ in range(options.max_backtracks):
+    for _ in range(SolveOptions.max_backtracks):
         trial = _step(it, direction, alpha)
-        if _trial_ok(problem, trial, options.neighborhood_beta, enforce_neighborhood):
+        if _trial_ok(problem, trial, enforce_neighborhood):
             return alpha
-        alpha *= options.step_backtrack
-        if alpha < options.min_step:
+        alpha *= SolveOptions.step_backtrack
+        if alpha < SolveOptions.min_step:
             break
     return 0.0
 
@@ -559,19 +551,19 @@ def check_termination(
         t1, t2, t3, t4 = residual_terms(
             problem, it.x / it.tau, it.y / it.tau, it.z / it.tau, it.s / it.tau
         )
-        if max(t1, t2, t3) <= options.tol_feas and t4 <= options.tol_gap:
+        if max(t1, t2, t3) <= options.tol and t4 <= options.tol:
             return SolveStatus.OPTIMAL
 
     ray_gap = -float(b @ it.y) - float(h @ it.z)
     if ray_gap > 0.0:
-        if _inf_norm(A.T @ (it.y / ray_gap) + G.T @ (it.z / ray_gap)) <= options.tol_feas:
+        if _inf_norm(A.T @ (it.y / ray_gap) + G.T @ (it.z / ray_gap)) <= options.tol:
             return SolveStatus.PRIMAL_INFEASIBLE
     ray_obj = -float(c @ it.x)
     if ray_obj > 0.0:
         xr = it.x / ray_obj
         if (
-            _inf_norm(A @ xr) <= options.tol_feas
-            and _inf_norm(G @ xr + it.s / ray_obj) <= options.tol_feas
+            _inf_norm(A @ xr) <= options.tol
+            and _inf_norm(G @ xr + it.s / ray_obj) <= options.tol
         ):
             return SolveStatus.DUAL_INFEASIBLE
     return None
@@ -580,20 +572,17 @@ def check_termination(
 def _finish(problem, it, status, iters, t0, mu_hist):
     elapsed = time.perf_counter() - t0
     tau = it.tau
+    tau_pos = max(tau, 1e-300)  # tau may have reached zero unless optimal
     if status == SolveStatus.OPTIMAL:
         point = _scaled_point(it, tau)
     elif status == SolveStatus.PRIMAL_INFEASIBLE:
         ray_gap = -float(problem.b @ it.y) - float(problem.h @ it.z)
-        point = PrimalDualPoint(
-            it.x / max(tau, 1e-300), it.y / ray_gap, it.z / ray_gap, it.s / max(tau, 1e-300)
-        )
+        point = PrimalDualPoint(it.x / tau_pos, it.y / ray_gap, it.z / ray_gap, it.s / tau_pos)
     elif status == SolveStatus.DUAL_INFEASIBLE:
         ray_obj = -float(problem.c @ it.x)
-        point = PrimalDualPoint(
-            it.x / ray_obj, it.y / max(tau, 1e-300), it.z / max(tau, 1e-300), it.s / ray_obj
-        )
+        point = PrimalDualPoint(it.x / ray_obj, it.y / tau_pos, it.z / tau_pos, it.s / ray_obj)
     else:
-        point = _scaled_point(it, max(tau, 1e-300))
+        point = _scaled_point(it, tau_pos)
     primal = float(problem.c @ point.x)
     dual = -float(problem.b @ point.y) - float(problem.h @ point.z)
     if status in (SolveStatus.PRIMAL_INFEASIBLE, SolveStatus.DUAL_INFEASIBLE):
@@ -660,7 +649,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
                     _check_domain(problem, it)
                 oracles = _Oracles(problem, it)
             d = compute_directions(problem, it, "predict", oracles)
-            alpha = line_search(problem, it, d, options, enforce_neighborhood=True)
+            alpha = line_search(problem, it, d, enforce_neighborhood=True)
             if alpha <= 0.0:
                 return _finish(
                     problem, it, SolveStatus.NUMERICAL_ERROR, outer - 1, t0, mu_hist
@@ -671,15 +660,15 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
                 return _finish(problem, it, status, outer, t0, mu_hist)
             checked = True
 
-            for _ in range(options.max_center_steps):
+            for _ in range(SolveOptions.max_center_steps):
                 oracles = _Oracles(problem, it)
                 mu = mu_of(problem, it)
-                if mu <= 1e-14:
+                if mu <= _MU_FLOOR:
                     break
-                if _proximity(problem, it, oracles, mu) <= options.centering_tol:
+                if _proximity(problem, it, oracles, mu) <= SolveOptions.centering_tol:
                     break
                 dc = compute_directions(problem, it, "center", oracles)
-                ac = line_search(problem, it, dc, options, enforce_neighborhood=False)
+                ac = line_search(problem, it, dc, enforce_neighborhood=False)
                 if ac <= 0.0:
                     break
                 it, oracles, checked = _step(it, dc, ac), None, False
@@ -687,12 +676,12 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveRe
             return _finish(problem, it, SolveStatus.NUMERICAL_ERROR, outer, t0, mu_hist)
 
         mu_now = mu_of(problem, it)
-        if mu_now > options.slow_progress_factor * mu_hist[-1]:
+        if mu_now > SolveOptions.slow_progress_factor * mu_hist[-1]:
             stall_count += 1
         else:
             stall_count = 0
         mu_hist.append(mu_now)
-        if stall_count >= options.slow_progress_window:
+        if stall_count >= SolveOptions.slow_progress_window:
             return _finish(problem, it, SolveStatus.SLOW_PROGRESS, outer, t0, mu_hist)
 
     status = None if checked else check_termination(problem, it, options)
