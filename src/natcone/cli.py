@@ -50,13 +50,13 @@ def main(argv=None) -> int:
             seed=args.seed,
             form=args.form,
         )
+        options = SolveOptions(
+            tol=args.tol,
+            max_iters=args.max_iters,
+            time_limit=args.time_limit,
+        )
     except ValueError as exc:
         ap.error(str(exc))
-    options = SolveOptions(
-        tol=args.tol,
-        max_iters=args.max_iters,
-        time_limit=args.time_limit,
-    )
     records = run_matrix([spec], options)
     print(CSV_HEADER)
     for rec in records:

@@ -10,8 +10,8 @@ primal weighted sum-of-squares cone) no tractable barrier is known for the
 cone itself, but one is known for its dual. Those cones set
 ``uses_dual_barrier`` and their ``barrier``/``grad``/``hess`` oracles evaluate
 the dual cone's barrier; the solver applies them on the dual-variable side of
-the block. Each is its parent (for ``Wsos``, the ``WsosDual`` it wraps) with
-the primal and dual membership sides swapped.
+the block. Each subclasses its parent (for ``Wsos``, ``WsosDual``) with the
+primal and dual membership sides swapped.
 
 The catalog states each fact once:
 
@@ -57,8 +57,6 @@ __all__ = [
     "Wsos",
     "WsosDual",
     "make_cone",
-    "barrier_grad",
-    "barrier_hess",
     "wsos_basis",
     "NotInteriorError",
 ]
@@ -201,7 +199,8 @@ class Cone:
     def barrier(self, pt: np.ndarray) -> float:
         """Barrier value; NotInteriorError outside the barrier domain."""
         pt = np.asarray(pt, dtype=float)
-        _require_domain(self, pt)
+        if not self.barrier_domain_ok(pt):
+            raise NotInteriorError(f"point not interior to the barrier domain of {self!r}")
         return self._barrier(pt)
 
     def _barrier(self, pt):
@@ -869,8 +868,14 @@ def _check_ps(Ps):
     return mats, d
 
 
-class _WsosPair(Cone):
-    """The interpolant matrices, size and barrier parameter shared by the two wsos cones."""
+class WsosDual(Cone):
+    """Moment-side weighted SOS cone {w: P_l' Diag(w) P_l psd for all l}.
+
+    Barrier -sum_l logdet(P_l' Diag(w) P_l) with nu = sum_l cols(P_l).
+    """
+
+    tag = "wsosdual"
+    cheap_dual_test = False  # dual membership needs an auxiliary solve
 
     def __init__(self, Ps):
         self.Ps, self.d = _check_ps(Ps)
@@ -879,16 +884,6 @@ class _WsosPair(Cone):
 
     def params(self):
         return {"Ps": [P.tolist() for P in self.Ps]}
-
-
-class WsosDual(_WsosPair):
-    """Moment-side weighted SOS cone {w: P_l' Diag(w) P_l psd for all l}.
-
-    Barrier -sum_l logdet(P_l' Diag(w) P_l) with nu = sum_l cols(P_l).
-    """
-
-    tag = "wsosdual"
-    cheap_dual_test = False  # dual membership needs an auxiliary solve
 
     def _lams(self, w):
         return [(P * np.asarray(w, dtype=float)[:, None]).T @ P for P in self.Ps]
@@ -968,7 +963,7 @@ def _wsos_primal_margins(Ps, w):
     return np.array([np.nan])
 
 
-class Wsos(_WsosPair):
+class Wsos(WsosDual):
     """Function-side weighted SOS cone {sum_l diag(P_l Th_l P_l'): Th_l psd}.
 
     No tractable barrier is known for this cone; oracles evaluate the
@@ -977,32 +972,16 @@ class Wsos(_WsosPair):
 
     tag = "wsos"
     uses_dual_barrier = True
+    primal_margins = WsosDual.dual_margins
+    dual_margins = WsosDual.primal_margins
+    # the strict tests swap too: the inherited _primal_ok would test the moment cone
+    _primal_ok = Cone._primal_ok
+    _dual_ok = WsosDual._primal_ok
     cheap_primal_test = False  # strict membership needs an auxiliary solve
-
-    def __init__(self, Ps):
-        super().__init__(Ps)
-        self._dual = WsosDual(self.Ps)
-
-    def primal_margins(self, s):
-        return _wsos_primal_margins(self.Ps, s)
-
-    def dual_margins(self, z):
-        return self._dual.primal_margins(z)
-
-    def _dual_ok(self, z):
-        return self._dual._primal_ok(z)
+    cheap_dual_test = True
 
     def initial_point(self):
         return np.sum([np.einsum("ij,ij->i", P, P) for P in self.Ps], axis=0)
-
-    def _barrier(self, pt):
-        return self._dual._barrier(pt)
-
-    def grad(self, pt):
-        return self._dual.grad(pt)
-
-    def hess(self, pt):
-        return self._dual.hess(pt)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,7 +1050,7 @@ def _stack_runs(blocks) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# factory and op-style wrappers
+# factory
 # ---------------------------------------------------------------------------
 
 _REGISTRY = {
@@ -1103,19 +1082,3 @@ def make_cone(tag: str, **params) -> Cone:
         raise ValueError(f"unknown cone tag {tag!r}") from None
     return cls(**params)
 
-
-def _require_domain(cone: Cone, pt: np.ndarray):
-    if not cone.barrier_domain_ok(np.asarray(pt, dtype=float)):
-        raise NotInteriorError(f"point not interior to the barrier domain of {cone!r}")
-
-
-def barrier_grad(cone: Cone, pt: np.ndarray) -> np.ndarray:
-    """Barrier gradient. For dual-barrier cones the point lives in the dual cone."""
-    _require_domain(cone, pt)
-    return cone.grad(np.asarray(pt, dtype=float))
-
-
-def barrier_hess(cone: Cone, pt: np.ndarray) -> np.ndarray:
-    """Barrier Hessian; symmetric positive definite on the barrier domain."""
-    _require_domain(cone, pt)
-    return cone.hess(np.asarray(pt, dtype=float))

@@ -8,9 +8,12 @@ central path at the current complementarity level mu), in the style of
 barrier methods that need only interior-point, feasibility, gradient and
 Hessian oracles for each cone block.
 
-Cone blocks whose barrier lives on the dual side enter the linearized system
-with the Hessian applied to the dual direction; that is the only place the
-``uses_dual_barrier`` flag changes behavior.
+A block's barrier lives on s, or on z for a cone that carries its dual
+cone's barrier. ``_sides`` is the one place that swap is stated: the initial
+point, the domain test, the oracles, the complementarity rows and the
+proximity measure all read a block's two sides through it. ``_KKTSystem``
+keeps the dz of dual-barrier blocks as unknowns, so their Hessians are never
+inverted, and the line search orders each block's membership tests by cost.
 
 ``solve`` iterates on the problem with each run of adjacent equal blocks of a
 stackable cone grouped into one block (``cones._Run``) whose oracles evaluate
@@ -131,6 +134,11 @@ def mu_of(problem: ConicProblem, it: HSDEIterate) -> float:
     return (float(it.s @ it.z) + it.tau * it.kappa) / (problem.nu + 1.0)
 
 
+def _sides(K, s_b, z_b):
+    """A block's (barrier side, other side): z_b first where K carries the dual barrier."""
+    return (z_b, s_b) if K.uses_dual_barrier else (s_b, z_b)
+
+
 def hsde_init(problem: ConicProblem) -> HSDEIterate:
     """Initial embedding iterate: unit scaling, cone initial points, exact centering.
 
@@ -142,25 +150,28 @@ def hsde_init(problem: ConicProblem) -> HSDEIterate:
     z = np.empty(problem.q)
     for K, sl in zip(problem.cones, problem.cone_slices()):
         pt = K.initial_point()
-        if K.uses_dual_barrier:
-            z[sl] = pt
-            s[sl] = -K.grad(pt)
-        else:
-            s[sl] = pt
-            z[sl] = -K.grad(pt)
+        barrier_side, other = _sides(K, s[sl], z[sl])
+        barrier_side[:] = pt
+        other[:] = -K.grad(pt)
     return HSDEIterate(
         x=np.zeros(problem.n), y=np.zeros(problem.p), z=z, tau=1.0, s=s, kappa=1.0
     )
 
 
+def _model_rows(problem: ConicProblem, x, y, z, tau, s, kappa):
+    """The homogeneous model's four linear rows at (x, y, z, tau, s, kappa)."""
+    c, b, h, A, G = problem.c, problem.b, problem.h, problem.A, problem.G
+    return (
+        A.T @ y + G.T @ z + c * tau,
+        -A @ x + b * tau,
+        -G @ x + h * tau - s,
+        -float(c @ x) - float(b @ y) - float(h @ z) - kappa,
+    )
+
+
 def hsde_residuals(problem: ConicProblem, it: HSDEIterate):
     """Residuals of the homogeneous model rows (zero at an exact solution)."""
-    c, b, h, A, G = problem.c, problem.b, problem.h, problem.A, problem.G
-    e_x = A.T @ it.y + G.T @ it.z + c * it.tau
-    e_y = -A @ it.x + b * it.tau
-    e_z = -G @ it.x + h * it.tau - it.s
-    e_tau = -float(c @ it.x) - float(b @ it.y) - float(h @ it.z) - it.kappa
-    return e_x, e_y, e_z, e_tau
+    return _model_rows(problem, it.x, it.y, it.z, it.tau, it.s, it.kappa)
 
 
 # diagonal regularization of the quasi-definite system; survives
@@ -177,14 +188,9 @@ class _KKTError(RuntimeError):
     pass
 
 
-def _barrier_point(K, sl, it):
-    """The block of ``it`` on which the block's barrier is evaluated."""
-    return it.z[sl] if K.uses_dual_barrier else it.s[sl]
-
-
 def _check_domain(problem: ConicProblem, it: HSDEIterate):
     for K, sl in zip(problem.cones, problem.cone_slices()):
-        if not K.barrier_domain_ok(_barrier_point(K, sl, it)):
+        if not K.barrier_domain_ok(_sides(K, it.s[sl], it.z[sl])[0]):
             raise _KKTError("iterate left the barrier domain")
 
 
@@ -206,7 +212,7 @@ class _Oracles:
         self.hesses = []
         try:
             for K, sl in zip(problem.cones, self.slices):
-                pt = _barrier_point(K, sl, it)
+                pt = _sides(K, it.s[sl], it.z[sl])[0]
                 self.grads.append(K.grad(pt))
                 self.hesses.append(K.hess(pt))
         except (NotInteriorError, np.linalg.LinAlgError) as exc:
@@ -217,8 +223,8 @@ def _complementarity_rhs(problem, it, oracles, mu, target):
     """Right-hand side of the linearized complementarity rows per block."""
     r5 = np.empty(problem.q)
     for K, sl, g in zip(problem.cones, oracles.slices, oracles.grads):
-        primary = it.s[sl] if K.uses_dual_barrier else it.z[sl]
-        r5[sl] = -primary if target == "predict" else -primary - mu * g
+        other = _sides(K, it.s[sl], it.z[sl])[1]
+        r5[sl] = -other if target == "predict" else -other - mu * g
     r6 = -it.tau * it.kappa if target == "predict" else mu - it.tau * it.kappa
     return r5, r6
 
@@ -245,16 +251,9 @@ class _KKTSystem:
         n, p = problem.n, problem.p
         G, h, c, b, A = problem.G, problem.h, problem.c, problem.b, problem.A
 
-        self.primal = [
-            (K, sl, H)
-            for K, sl, H in zip(problem.cones, oracles.slices, oracles.hesses)
-            if not K.uses_dual_barrier
-        ]
-        self.dual = [
-            (K, sl, H)
-            for K, sl, H in zip(problem.cones, oracles.slices, oracles.hesses)
-            if K.uses_dual_barrier
-        ]
+        self.primal, self.dual = [], []
+        for blk in zip(problem.cones, oracles.slices, oracles.hesses):
+            (self.dual if blk[0].uses_dual_barrier else self.primal).append(blk)
         self.dual_rows = np.concatenate(
             [np.arange(sl.start, sl.stop) for _, sl, _ in self.dual]
         ) if self.dual else np.zeros(0, dtype=int)
@@ -366,18 +365,12 @@ class _KKTSystem:
         """Residuals of the full linearized system at a candidate direction."""
         pr = self.problem
         it = self.it
-        e1 = r1 - (pr.A.T @ d.dy + pr.G.T @ d.dz + pr.c * d.dtau)
-        e2 = r2 - (-pr.A @ d.dx + pr.b * d.dtau)
-        e3 = r3 - (-pr.G @ d.dx + pr.h * d.dtau - d.ds)
-        e4 = r4 - (
-            -float(pr.c @ d.dx) - float(pr.b @ d.dy) - float(pr.h @ d.dz) - d.dkappa
-        )
+        rows = _model_rows(pr, d.dx, d.dy, d.dz, d.dtau, d.ds, d.dkappa)
+        e1, e2, e3, e4 = (r - row for r, row in zip((r1, r2, r3, r4), rows))
         e5 = np.empty(pr.q)
         for K, sl, H in zip(pr.cones, self.oracles.slices, self.oracles.hesses):
-            if K.uses_dual_barrier:
-                e5[sl] = r5[sl] - (self.mu * (H @ d.dz[sl]) + d.ds[sl])
-            else:
-                e5[sl] = r5[sl] - (self.mu * (H @ d.ds[sl]) + d.dz[sl])
+            d_barrier, d_other = _sides(K, d.ds[sl], d.dz[sl])
+            e5[sl] = r5[sl] - (self.mu * (H @ d_barrier) + d_other)
         e6 = r6 - (it.kappa * d.dtau + it.tau * d.dkappa)
         return e1, e2, e3, e4, e5, e6
 
@@ -508,8 +501,9 @@ def _proximity(problem, it, oracles, mu):
     """
     total = (it.tau * it.kappa - mu) ** 2
     for K, sl, g, H in zip(problem.cones, oracles.slices, oracles.grads, oracles.hesses):
-        psi = (it.s[sl] if K.uses_dual_barrier else it.z[sl]) + mu * g
-        quad = K.inv_hess_quad(_barrier_point(K, sl, it), psi)
+        barrier_side, other = _sides(K, it.s[sl], it.z[sl])
+        psi = other + mu * g
+        quad = K.inv_hess_quad(barrier_side, psi)
         if quad is not None:
             total += quad
             continue

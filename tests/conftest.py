@@ -55,10 +55,9 @@ def sample_barrier_point(cone, rng):
         val = v * float(np.sum(np.log(np.linalg.eigvalsh(W) / v)))
         return np.concatenate(([val - rng.uniform(0.1, 2.0), v], svec(W)))
     if tag in ("wsosdual", "wsos"):
-        membership = cone._dual if tag == "wsos" else cone
         for _ in range(200):
             w = np.ones(cone.d) + 0.4 * rng.standard_normal(cone.d)
-            if membership.in_interior(w):
+            if cone.barrier_domain_ok(w):
                 return w
         raise RuntimeError("could not sample a weighted-SOS interior point")
     raise ValueError(tag)
@@ -100,15 +99,14 @@ def boundary_point(cone, rng):
     elif tag in ("wsosdual", "wsos"):
         # scale towards a direction that exits the cone until the margin flips
         direction = rng.standard_normal(cone.d)
-        membership = cone._dual if tag == "wsos" else cone
         lo, hi = 0.0, 1.0
-        while membership.in_interior(pt + hi * direction):
+        while cone.barrier_domain_ok(pt + hi * direction):
             hi *= 2.0
             if hi > 1e6:
                 raise RuntimeError("direction never leaves the cone")
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if membership.in_interior(pt + mid * direction):
+            if cone.barrier_domain_ok(pt + mid * direction):
                 lo = mid
             else:
                 hi = mid

@@ -252,7 +252,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(["matcompletion", "--k", "3"], "requires m"), (["expdesign", "--k", "3"], "variant")],
+        [
+            (["matcompletion", "--k", "3"], "requires m"),
+            (["expdesign", "--k", "3"], "variant"),
+            (["portfolio", "--k", "8", "--tol", "0"], "tol must be positive"),
+            (["portfolio", "--k", "8", "--max-iters", "0"], "max_iters must be >= 1"),
+            (["portfolio", "--k", "8", "--time-limit", "-1"], "time_limit must be >= 0"),
+        ],
     )
     def test_invalid_instance_is_usage_error(self, capsys, argv, message):
         from natcone.cli import main

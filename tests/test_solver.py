@@ -7,6 +7,7 @@ from conftest import sample_barrier_point
 from natcone import cones as C
 from natcone import solver
 from natcone.bench import InstanceSpec, build_instance
+from natcone.interp import build_interp
 from natcone.model import ConicProblem, classify_certificate, CertificateKind, residual_eps
 from natcone.solver import (
     Direction,
@@ -72,6 +73,14 @@ def random_feasible(kinds, seed, n=3, p=1):
     return ConicProblem(c, A, b, G, h, kinds)
 
 
+# one mix per dual-barrier cone, keyed by that cone's tag
+DUAL_BARRIER_MIXES = {
+    "epinorminfdual": [C.Nonneg(2), C.EpiNormInfDual(3), C.HypoPerLog(2)],
+    "epinormspectraldual": [C.EpiNorm2(2), C.EpiNormSpectralDual(2, 3)],
+    "wsos": [C.Nonneg(2), C.Wsos(build_interp(1, 2).P)],
+}
+
+
 class TestHsdeInit:
     def test_single_nonneg(self):
         prob = ConicProblem([1.0], np.zeros((0, 1)), [], [[-1.0]], [0.0], [C.Nonneg(1)])
@@ -119,10 +128,17 @@ class TestComputeDirections:
         )
         assert mu_of(prob, stepped) < mu_of(prob, it)
 
-    @pytest.mark.parametrize("target", ["predict", "center"])
-    def test_direction_satisfies_linearized_equations(self, target):
-        kinds = [C.Nonneg(2), C.EpiNormInfDual(3), C.HypoPerLog(2)]
-        prob = random_feasible(kinds, seed=3)
+    @pytest.mark.parametrize(
+        "target, mix",
+        [
+            # the l1-epigraph mix is identified by the target alone
+            pytest.param(t, m, id=t if m == "epinorminfdual" else f"{t}-{m}")
+            for m in DUAL_BARRIER_MIXES
+            for t in ("predict", "center")
+        ],
+    )
+    def test_direction_satisfies_linearized_equations(self, target, mix):
+        prob = random_feasible(DUAL_BARRIER_MIXES[mix], seed=3)
         it = hsde_init(prob)
         # walk a step off the central path so the test point is generic
         d0 = compute_directions(prob, it, "predict")
@@ -263,6 +279,14 @@ class TestSolve:
         res = solve(prob)
         assert res.status is SolveStatus.OPTIMAL
         assert res.eps <= 1e-6
+
+    @pytest.mark.parametrize("mix", DUAL_BARRIER_MIXES)
+    def test_dual_barrier_mix_solves(self, mix):
+        for seed in range(6):
+            prob = random_feasible(DUAL_BARRIER_MIXES[mix], seed=seed)
+            res = solve(prob)
+            assert res.status is SolveStatus.OPTIMAL, seed
+            assert classify_certificate(prob, res.point).kind is CertificateKind.OPTIMAL, seed
 
     def test_determinism(self):
         prob = random_feasible([C.EpiNormInf(3), C.HypoGeomean(3)], seed=9)
