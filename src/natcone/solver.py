@@ -15,11 +15,15 @@ proximity measure all read a block's two sides through it. ``_KKTSystem``
 keeps the dz of dual-barrier blocks as unknowns, so their Hessians are never
 inverted, and the line search orders each block's membership tests by cost.
 
-``solve`` iterates on the problem with each run of adjacent equal blocks of a
-stackable cone grouped into one block (``cones._Run``) whose oracles evaluate
-the whole run at once. Rows keep their order, so only the number of oracle
-calls changes; the neighbourhood test still checks each original block's
-complementarity product.
+``solve`` iterates on the result of a chain of setup transforms:
+``_eliminate`` removes the equality rows with one QR of A' (x = x0 + Q2 w),
+then ``_stacked`` groups each run of adjacent equal blocks of a stackable cone
+into one block (``cones._Run``) whose oracles evaluate the whole run at once.
+Stacking keeps the rows in order, so it changes only the number of oracle
+calls, and the neighbourhood test still checks each original block's
+complementarity product. The ``lift`` that ``_eliminate`` returns maps each
+iterate back to the original problem, where termination is judged and the
+returned point is built.
 """
 
 from __future__ import annotations
@@ -174,9 +178,13 @@ def hsde_residuals(problem: ConicProblem, it: HSDEIterate):
     return _model_rows(problem, it.x, it.y, it.z, it.tau, it.s, it.kappa)
 
 
-# diagonal regularization of the quasi-definite system; survives
-# rank-deficient A or G without a presolve pass
+# diagonal regularization of the quasi-definite system; keeps it nonsingular
+# when G is rank-deficient (``solve`` removes A's dependent rows beforehand)
 _STATIC_REG = 1e-10
+
+# |diag R| of the QR of A' at or below this fraction of its largest entry
+# marks a dependent equality row
+_RANK_TOL = 1e-10
 
 # mu at or below which an iterate is numerically on the boundary: the line
 # search rejects it and centering stops there (mu starts at 1, and any
@@ -240,7 +248,9 @@ class _KKTSystem:
     condition about 1/mu^2, which an explicit inverse cannot survive).
     The assembled symmetric quasi-definite system in (dx, dy, dz_dual) is
     statically regularized, LU-factored once per call, and solved for two
-    right-hand sides to resolve the scalar dtau equation.
+    right-hand sides to resolve the scalar dtau equation. ``solve`` hands it
+    problems whose equality rows ``_eliminate`` removed, so there dy is
+    empty; ``compute_directions`` accepts any problem.
     """
 
     def __init__(self, problem: ConicProblem, it: HSDEIterate, oracles: _Oracles, mu: float):
@@ -610,75 +620,154 @@ def _stacked(problem: ConicProblem) -> ConicProblem:
     return stacked
 
 
+class _InconsistentRows(Exception):
+    """b is not in the range of A; ``ray`` is an iterate certifying it."""
+
+    def __init__(self, ray: HSDEIterate):
+        super().__init__("inconsistent equality rows")
+        self.ray = ray
+
+
+def _eliminate(problem: ConicProblem, tol: float):
+    """``problem`` without its equality rows, and the map back to its iterates.
+
+    One column-pivoted QR, A' P = [Q1 Q2] [R1 R12; 0 R22], gives the rank r
+    of A (the |diag R| above ``_RANK_TOL`` times the largest), a solution
+    x0 = Q1 R1^-T b[P[:r]] of A x = b and a basis Q2 of the null space of A.
+    With x = x0 + Q2 w the problem becomes (Q2'c, no rows, G Q2, h - G x0,
+    the same cones). ``lift`` maps an iterate (w, z, tau, s, kappa) of that
+    problem to one of the original: x = tau x0 + Q2 w, y = Y (tau c + G'z)
+    with Y = -P R1^-1 Q1', and the same z, tau, s and kappa. Its A row is
+    zero, its other three model rows are the reduced ones (the first mapped
+    by Q2), and its mu is the same. Without equality rows the problem is
+    returned unchanged.
+
+    Raises _InconsistentRows when the least-squares residual r of A x = b
+    has ``|r|_inf / (1 + |b|_inf) > tol``; its ray has y = -r/|r|^2 and
+    z = 0, so -b'y = 1 and A'y = 0.
+    """
+    if problem.p == 0:
+        return problem, lambda it: it
+    A, b, c, G, h = problem.A, problem.b, problem.c, problem.G, problem.h
+    p, n = A.shape
+    Q, R, piv = sla.qr(A.T, pivoting=True, check_finite=False)
+    d = np.abs(np.diag(R))
+    r = int(np.count_nonzero(d > _RANK_TOL * d[0])) if d.size else 0
+    if r < p:
+        # b's part outside range(A) = P range([R1 R12]'), projected out twice
+        U = np.linalg.qr(R[:r].T)[0]
+        res = b[piv]
+        for _ in range(2):
+            res = res - U @ (U.T @ res)
+        if _inf_norm(res) > tol * (1.0 + _inf_norm(b)):
+            y = np.empty(p)
+            y[piv] = -res / float(res @ res)
+            q = problem.q
+            raise _InconsistentRows(
+                HSDEIterate(x=np.zeros(n), y=y, z=np.zeros(q), tau=0.0, s=np.zeros(q), kappa=1.0)
+            )
+    Q1, Q2, R1, rows = Q[:, :r], Q[:, r:], R[:r, :r], piv[:r]
+    x0 = Q1 @ sla.solve_triangular(R1, b[rows], trans="T", check_finite=False)
+    Y = np.zeros((p, n))
+    Y[rows] = -sla.solve_triangular(R1, Q1.T, check_finite=False)
+    Yc = Y @ c
+    reduced = ConicProblem(Q2.T @ c, np.zeros((0, n - r)), [], G @ Q2, h - G @ x0, problem.cones)
+
+    def lift(it: HSDEIterate) -> HSDEIterate:
+        return HSDEIterate(
+            x=it.tau * x0 + Q2 @ it.x,
+            y=it.tau * Yc + Y @ (G.T @ it.z),
+            z=it.z,
+            tau=it.tau,
+            s=it.s,
+            kappa=it.kappa,
+        )
+
+    return reduced, lift
+
+
 def solve(problem: ConicProblem, options: SolveOptions | None = None) -> SolveResult:
     """Solve the conic problem via the homogeneous self-dual embedding.
 
-    Each iteration takes one prediction step followed by centering steps
-    until the iterate is close enough to the central path. The returned point
-    is scaled back to problem space (divided by tau for complementary
-    solutions; improving rays are normalized so the violated inequality
-    equals one).
+    The setup chain runs once: ``_eliminate`` removes the equality rows,
+    ``_stacked`` groups runs of equal blocks, and the iteration runs on the
+    result. Each iteration takes one prediction step followed by centering
+    steps until the iterate is close enough to the central path. Termination
+    is judged on the original problem at the lifted iterate, and the returned
+    point is the lifted iterate scaled back to problem space (divided by tau
+    for complementary solutions; improving rays are normalized so the
+    violated inequality equals one). Inconsistent equality rows end the
+    solve at setup with a primal infeasibility certificate.
     """
     options = options or SolveOptions()
     t0 = time.perf_counter()
-    problem = _stacked(problem)
-    it = hsde_init(problem)
-    mu_hist = [mu_of(problem, it)]
+    try:
+        reduced, lift = _eliminate(problem, options.tol)
+    except _InconsistentRows as exc:
+        return _finish(problem, exc.ray, SolveStatus.PRIMAL_INFEASIBLE, 0, t0, [])
+    reduced = _stacked(reduced)
+    it = hsde_init(reduced)
+    mu_hist = [mu_of(reduced, it)]
+
+    def terminal(it):
+        return check_termination(problem, lift(it), options)
+
+    def finish(it, status, iters):
+        return _finish(problem, lift(it), status, iters, t0, mu_hist)
+
     stall_count = 0
     oracles = None  # barrier oracles at ``it`` once evaluated, else None
     checked = False  # ``it`` already passed check_termination without a status
 
     for outer in range(1, options.max_iters + 1):
         if not checked:
-            status = check_termination(problem, it, options)
+            status = terminal(it)
             if status is not None:
-                return _finish(problem, it, status, outer - 1, t0, mu_hist)
+                return finish(it, status, outer - 1)
         if time.perf_counter() - t0 > options.time_limit:
-            return _finish(problem, it, SolveStatus.TIME_LIMIT, outer - 1, t0, mu_hist)
+            return finish(it, SolveStatus.TIME_LIMIT, outer - 1)
 
         try:
             if oracles is None:
                 # every later iterate passed the line search's domain test
                 if outer == 1:
-                    _check_domain(problem, it)
-                oracles = _Oracles(problem, it)
-            d = compute_directions(problem, it, "predict", oracles)
-            alpha = line_search(problem, it, d, enforce_neighborhood=True)
+                    _check_domain(reduced, it)
+                oracles = _Oracles(reduced, it)
+            d = compute_directions(reduced, it, "predict", oracles)
+            alpha = line_search(reduced, it, d, enforce_neighborhood=True)
             if alpha <= 0.0:
-                return _finish(
-                    problem, it, SolveStatus.NUMERICAL_ERROR, outer - 1, t0, mu_hist
-                )
+                return finish(it, SolveStatus.NUMERICAL_ERROR, outer - 1)
             it, oracles = _step(it, d, alpha), None
-            status = check_termination(problem, it, options)
+            status = terminal(it)
             if status is not None:
-                return _finish(problem, it, status, outer, t0, mu_hist)
+                return finish(it, status, outer)
             checked = True
 
             for _ in range(SolveOptions.max_center_steps):
-                oracles = _Oracles(problem, it)
-                mu = mu_of(problem, it)
+                oracles = _Oracles(reduced, it)
+                mu = mu_of(reduced, it)
                 if mu <= _MU_FLOOR:
                     break
-                if _proximity(problem, it, oracles, mu) <= SolveOptions.centering_tol:
+                if _proximity(reduced, it, oracles, mu) <= SolveOptions.centering_tol:
                     break
-                dc = compute_directions(problem, it, "center", oracles)
-                ac = line_search(problem, it, dc, enforce_neighborhood=False)
+                dc = compute_directions(reduced, it, "center", oracles)
+                ac = line_search(reduced, it, dc, enforce_neighborhood=False)
                 if ac <= 0.0:
                     break
                 it, oracles, checked = _step(it, dc, ac), None, False
         except _KKTError:
-            return _finish(problem, it, SolveStatus.NUMERICAL_ERROR, outer, t0, mu_hist)
+            return finish(it, SolveStatus.NUMERICAL_ERROR, outer)
 
-        mu_now = mu_of(problem, it)
+        mu_now = mu_of(reduced, it)
         if mu_now > SolveOptions.slow_progress_factor * mu_hist[-1]:
             stall_count += 1
         else:
             stall_count = 0
         mu_hist.append(mu_now)
         if stall_count >= SolveOptions.slow_progress_window:
-            return _finish(problem, it, SolveStatus.SLOW_PROGRESS, outer, t0, mu_hist)
+            return finish(it, SolveStatus.SLOW_PROGRESS, outer)
 
-    status = None if checked else check_termination(problem, it, options)
+    status = None if checked else terminal(it)
     if status is None:
         status = SolveStatus.ITERATION_LIMIT
-    return _finish(problem, it, status, options.max_iters, t0, mu_hist)
+    return finish(it, status, options.max_iters)

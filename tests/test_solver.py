@@ -503,3 +503,81 @@ def test_degenerate_lp_ends_with_a_certificate(prob, status, obj):
     assert classify_certificate(prob, res.point).kind.value == status
     if obj is not None:
         assert res.primal_obj == pytest.approx(obj, abs=1e-6)
+
+
+# natural forms with equality rows: a wsosdual block, the l_inf-norm pair and
+# the spectral-norm/geomean pair
+CONIC_ROW_CELLS = [
+    ("polymin", 1, 2, None, 0, "nf"),
+    ("portfolio", 8, None, None, 0, "nf"),
+    ("matcompletion", 2, 3, None, 0, "nf"),
+]
+
+
+def with_extra_row(prob, row, rhs):
+    """``prob`` with the equality row ``row x = rhs`` appended."""
+    A = np.vstack((prob.A, row))
+    return ConicProblem(prob.c, A, np.append(prob.b, rhs), prob.G, prob.h, prob.cones)
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0], ids=["duplicate", "scaled-duplicate"])
+@pytest.mark.parametrize("cell", CONIC_ROW_CELLS, ids=lambda cell: cell[0])
+def test_dependent_row_keeps_the_solve(cell, scale):
+    # a dependent equality row is eliminated with the rest of A: same
+    # status, path and optimum as without it
+    prob, _ = build_instance(InstanceSpec(*cell))
+    base = solve(prob)
+    res = solve(with_extra_row(prob, scale * prob.A[0], scale * prob.b[0]))
+    assert base.status is res.status is SolveStatus.OPTIMAL
+    assert res.iterations == base.iterations
+    assert res.primal_obj == pytest.approx(base.primal_obj, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("cell", CONIC_ROW_CELLS, ids=lambda cell: cell[0])
+def test_inconsistent_row_is_infeasible_at_setup(cell):
+    # a copy of a row with a different right-hand side: b is outside the
+    # range of A, which the elimination finds before any iteration
+    prob, _ = build_instance(InstanceSpec(*cell))
+    bad = with_extra_row(prob, prob.A[0], prob.b[0] + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve(bad)
+    assert res.status is SolveStatus.PRIMAL_INFEASIBLE
+    assert res.iterations == 0
+    assert classify_certificate(bad, res.point).kind is CertificateKind.PRIMAL_INFEASIBLE
+
+
+def test_lift_keeps_residuals_and_mu():
+    # the lifted iterate's model rows are the reduced ones: its dual row is
+    # Q2 times the reduced one, its A row is zero and the others are equal,
+    # so termination and the returned point may read the original problem
+    prob, _ = build_instance(InstanceSpec("portfolio", 8, None, None, 0, "nf"))
+    reduced, lift = solver._eliminate(prob, SolveOptions().tol)
+    assert reduced.p == 0 and reduced.n == prob.n - np.linalg.matrix_rank(prob.A)
+    n, q = reduced.n, reduced.q
+    # lifting unit vectors at tau = 0 and z = 0 reads off the basis Q2
+    Q2 = np.column_stack([
+        lift(HSDEIterate(np.eye(n)[j], np.zeros(0), np.zeros(q), 0.0, np.zeros(q), 0.0)).x
+        for j in range(n)
+    ])
+    np.testing.assert_allclose(Q2.T @ Q2, np.eye(n), atol=1e-12)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        s, z = [], []
+        for K in reduced.cones:
+            pt = sample_barrier_point(K, rng)
+            barrier, other = (z, s) if K.uses_dual_barrier else (s, z)
+            barrier.append(pt)
+            other.append(-K.grad(pt) * rng.uniform(0.5, 2.0))
+        it = HSDEIterate(
+            rng.standard_normal(n), np.zeros(0), np.concatenate(z),
+            rng.uniform(0.5, 2.0), np.concatenate(s), rng.uniform(0.5, 2.0),
+        )
+        r1, r2, r3, r4 = hsde_residuals(reduced, it)
+        assert r2.size == 0
+        l1, l2, l3, l4 = hsde_residuals(prob, lift(it))
+        np.testing.assert_allclose(l1, Q2 @ r1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(l2, 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(l3, r3, rtol=0, atol=1e-12)
+        assert l4 == pytest.approx(r4, rel=0, abs=1e-12)
+        assert mu_of(prob, lift(it)) == mu_of(reduced, it)
