@@ -21,15 +21,18 @@ then ``_stacked`` groups each run of adjacent equal blocks of a stackable cone
 into one block (``cones._Run``) whose oracles evaluate the whole run at once.
 Stacking keeps the rows in order, so it changes only the number of oracle
 calls, and the neighbourhood test still checks each original block's
-complementarity product. The ``lift`` that ``_eliminate`` returns maps each
-iterate back to the original problem, where termination is judged and the
-returned point is built.
+complementarity product. The direction layer (``compute_directions``,
+``_KKTSystem`` and ``line_search``) sees only this reduced, stacked problem,
+which has no equality rows. The ``lift`` that ``_eliminate`` returns maps
+each iterate back to the original problem, where termination is judged and
+the returned point is built.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -94,6 +97,10 @@ class SolveOptions:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        if not math.isfinite(self.tol):
+            raise ValueError("tol must be finite")
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.time_limit >= 0.0:
@@ -178,8 +185,9 @@ def hsde_residuals(problem: ConicProblem, it: HSDEIterate):
     return _model_rows(problem, it.x, it.y, it.z, it.tau, it.s, it.kappa)
 
 
-# diagonal regularization of the quasi-definite system; keeps it nonsingular
-# when G is rank-deficient (``solve`` removes A's dependent rows beforehand)
+# diagonal regularization of the quasi-definite direction system, +reg on the
+# dx diagonal and -reg on the dz diagonal only; keeps it nonsingular when G is
+# rank-deficient
 _STATIC_REG = 1e-10
 
 # |diag R| of the QR of A' at or below this fraction of its largest entry
@@ -246,11 +254,11 @@ class _KKTSystem:
     barrier keep dz as explicit unknowns so that mu*H*(z) enters the system
     as a matrix block and is never inverted (near convergence H* has
     condition about 1/mu^2, which an explicit inverse cannot survive).
-    The assembled symmetric quasi-definite system in (dx, dy, dz_dual) is
+    The assembled symmetric quasi-definite system in (dx, dz_dual) is
     statically regularized, LU-factored once per call, and solved for two
-    right-hand sides to resolve the scalar dtau equation. ``solve`` hands it
-    problems whose equality rows ``_eliminate`` removed, so there dy is
-    empty; ``compute_directions`` accepts any problem.
+    right-hand sides to resolve the scalar dtau equation. It takes only
+    problems without equality rows, as ``_eliminate`` leaves them, so the
+    direction's dy is empty.
     """
 
     def __init__(self, problem: ConicProblem, it: HSDEIterate, oracles: _Oracles, mu: float):
@@ -258,8 +266,8 @@ class _KKTSystem:
         self.it = it
         self.mu = mu
         self.oracles = oracles
-        n, p = problem.n, problem.p
-        G, h, c, b, A = problem.G, problem.h, problem.c, problem.b, problem.A
+        n = problem.n
+        G, h, c = problem.G, problem.h, problem.c
 
         self.primal, self.dual = [], []
         for blk in zip(problem.cones, oracles.slices, oracles.hesses):
@@ -268,12 +276,11 @@ class _KKTSystem:
             [np.arange(sl.start, sl.stop) for _, sl, _ in self.dual]
         ) if self.dual else np.zeros(0, dtype=int)
         qd = self.dual_rows.size
-        self.qd = qd
         GD = G[self.dual_rows]
         self.hD = h[self.dual_rows]
 
         # K2 is assembled in place, column-major so that the LU overwrites it
-        dim = n + p + qd
+        dim = n + qd
         K2 = np.zeros((dim, dim), order="F")
         reg = _STATIC_REG
         # Schur contribution and tau-column pieces from primal-barrier blocks
@@ -290,18 +297,15 @@ class _KKTSystem:
             GMh += G[sl].T @ Mhb
             hMh += float(h[sl] @ Mhb)
 
-        K2[:n, n : n + p] = A.T
-        K2[n : n + p, :n] = A
-        if qd:
-            K2[:n, n + p :] = GD.T
-            K2[n + p :, :n] = GD
-            off = n + p
-            for K, sl, H in self.dual:
-                blk = K2[off : off + H.shape[0], off : off + H.shape[0]]
-                np.add(H, H.T, out=blk)
-                blk *= -0.5 * mu
-                off += H.shape[0]
-        # static regularization: +reg on the dx diagonal, -reg on the dy and dz ones
+        K2[:n, n:] = GD.T
+        K2[n:, :n] = GD
+        off = n
+        for K, sl, H in self.dual:
+            blk = K2[off : off + H.shape[0], off : off + H.shape[0]]
+            np.add(H, H.T, out=blk)
+            blk *= -0.5 * mu
+            off += H.shape[0]
+        # static regularization: +reg on the dx diagonal, -reg on the dz one
         i = np.arange(dim)
         K2[i[:n], i[:n]] += reg
         K2[i[n:], i[n:]] -= reg
@@ -313,25 +317,21 @@ class _KKTSystem:
             raise _KKTError("KKT factorization failed") from exc
 
         # second solve: coefficient of dtau in the reduced system
-        rhs2 = np.concatenate((-(c - GMh), b, self.hD))
+        rhs2 = np.concatenate((-(c - GMh), self.hD))
         self.w2 = w2 = sla.lu_solve(self.lu, rhs2, check_finite=False)
         if not np.isfinite(w2).all():
             raise _KKTError("singular KKT system")
         # the dtau row's data and denominator are the same for every solve
         self.cp = c + GMh
         self.denom = (
-            -float(self.cp @ w2[:n])
-            - float(b @ w2[n : n + p])
-            - float(self.hD @ w2[n + p :])
-            + hMh
-            + it.kappa / it.tau
+            -float(self.cp @ w2[:n]) - float(self.hD @ w2[n:]) + hMh + it.kappa / it.tau
         )
         if not np.isfinite(self.denom) or abs(self.denom) < 1e-300:
             raise _KKTError("singular reduced system")
 
-    def solve(self, r1, r2, r3, r4, r5, r6) -> Direction:
+    def solve(self, r1, r3, r4, r5, r6) -> Direction:
         pr = self.problem
-        n, p, qd = pr.n, pr.p, self.qd
+        n = pr.n
         it = self.it
         # primal-block pieces: dz_b = r5_b + M_b (G dx - h dtau + r3)_b
         u1 = r1.copy()
@@ -340,27 +340,20 @@ class _KKTSystem:
             RMr3 = r5[sl] + Mb @ r3[sl]
             u1 -= pr.G[sl].T @ RMr3
             hRM += float(pr.h[sl] @ RMr3)
-        rhsD = -(r3[self.dual_rows] + r5[self.dual_rows]) if qd else np.zeros(0)
-        w1 = sla.lu_solve(self.lu, np.concatenate((u1, -r2, rhsD)), check_finite=False)
+        rhsD = -(r3[self.dual_rows] + r5[self.dual_rows])
+        w1 = sla.lu_solve(self.lu, np.concatenate((u1, rhsD)), check_finite=False)
         u4 = r4 + hRM + r6 / it.tau
-        dtau = (
-            u4
-            + float(self.cp @ w1[:n])
-            + float(pr.b @ w1[n : n + p])
-            + float(self.hD @ w1[n + p :])
-        ) / self.denom
+        dtau = (u4 + float(self.cp @ w1[:n]) + float(self.hD @ w1[n:])) / self.denom
         sol = w1 + dtau * self.w2
         dx = sol[:n]
-        dy = sol[n : n + p]
         Gdx = pr.G @ dx
         ds = -Gdx + pr.h * dtau - r3
         dz = np.empty(pr.q)
         for (K, sl, H), Mb in zip(self.primal, self.Mprimal):
             dz[sl] = r5[sl] + Mb @ (Gdx[sl] - pr.h[sl] * dtau + r3[sl])
-        if qd:
-            dz[self.dual_rows] = sol[n + p :]
+        dz[self.dual_rows] = sol[n:]
         dkappa = (r6 - it.kappa * dtau) / it.tau
-        # sol holds dx, dy and the dual-barrier rows of dz
+        # sol holds dx and the dual-barrier rows of dz
         if not (
             np.isfinite(sol).all()
             and np.isfinite(dz).all()
@@ -369,27 +362,25 @@ class _KKTSystem:
             and math.isfinite(dkappa)
         ):
             raise _KKTError("non-finite direction")
-        return Direction(dx, dy, dz, dtau, ds, dkappa)
+        return Direction(dx, np.zeros(0), dz, dtau, ds, dkappa)
 
-    def equation_residuals(self, d: Direction, r1, r2, r3, r4, r5, r6):
+    def equation_residuals(self, d: Direction, r1, r3, r4, r5, r6):
         """Residuals of the full linearized system at a candidate direction."""
         pr = self.problem
         it = self.it
-        rows = _model_rows(pr, d.dx, d.dy, d.dz, d.dtau, d.ds, d.dkappa)
-        e1, e2, e3, e4 = (r - row for r, row in zip((r1, r2, r3, r4), rows))
+        row1, _, row3, row4 = _model_rows(pr, d.dx, d.dy, d.dz, d.dtau, d.ds, d.dkappa)
+        e1, e3, e4 = r1 - row1, r3 - row3, r4 - row4
         e5 = np.empty(pr.q)
         for K, sl, H in zip(pr.cones, self.oracles.slices, self.oracles.hesses):
             d_barrier, d_other = _sides(K, d.ds[sl], d.dz[sl])
             e5[sl] = r5[sl] - (self.mu * (H @ d_barrier) + d_other)
         e6 = r6 - (it.kappa * d.dtau + it.tau * d.dkappa)
-        return e1, e2, e3, e4, e5, e6
+        return e1, e3, e4, e5, e6
 
-    def solve_refined(self, r1, r2, r3, r4, r5, r6) -> Direction:
-        d = self.solve(r1, r2, r3, r4, r5, r6)
-        e1, e2, e3, e4, e5, e6 = self.equation_residuals(d, r1, r2, r3, r4, r5, r6)
-        dc = self.solve(e1, e2, e3, e4, e5, e6)
+    def solve_refined(self, r1, r3, r4, r5, r6) -> Direction:
+        d = self.solve(r1, r3, r4, r5, r6)
+        dc = self.solve(*self.equation_residuals(d, r1, r3, r4, r5, r6))
         d.dx += dc.dx
-        d.dy += dc.dy
         d.dz += dc.dz
         d.dtau += dc.dtau
         d.ds += dc.ds
@@ -406,10 +397,13 @@ def compute_directions(
     ``target='center'`` holds the residuals and drives the complementarity
     rows to their mu-centered values. ``oracles`` are the barrier oracles
     at ``it``; when they are not given, ``it`` is tested for the barrier
-    domain and they are evaluated here.
+    domain and they are evaluated here. ``problem`` has no equality rows, as
+    ``_eliminate`` leaves it; one with rows raises ValueError.
     """
     if target not in ("predict", "center"):
         raise ValueError(f"unknown target {target!r}")
+    if problem.p:
+        raise ValueError("compute_directions takes a problem without equality rows")
     if oracles is None:
         _check_domain(problem, it)
         oracles = _Oracles(problem, it)
@@ -417,14 +411,11 @@ def compute_directions(
     kkt = _KKTSystem(problem, it, oracles, mu)
     r5, r6 = _complementarity_rhs(problem, it, oracles, mu, target)
     if target == "predict":
-        e_x, e_y, e_z, e_tau = hsde_residuals(problem, it)
-        r1, r2, r3, r4 = -e_x, -e_y, -e_z, -e_tau
+        e_x, _, e_z, e_tau = hsde_residuals(problem, it)
+        r1, r3, r4 = -e_x, -e_z, -e_tau
     else:
-        r1 = np.zeros(problem.n)
-        r2 = np.zeros(problem.p)
-        r3 = np.zeros(problem.q)
-        r4 = 0.0
-    return kkt.solve_refined(r1, r2, r3, r4, r5, r6)
+        r1, r3, r4 = np.zeros(problem.n), np.zeros(problem.q), 0.0
+    return kkt.solve_refined(r1, r3, r4, r5, r6)
 
 
 def _step(it: HSDEIterate, d: Direction, alpha: float) -> HSDEIterate:

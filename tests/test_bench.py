@@ -258,6 +258,7 @@ class TestCli:
             (["portfolio", "--k", "8", "--tol", "0"], "tol must be positive"),
             (["portfolio", "--k", "8", "--max-iters", "0"], "max_iters must be >= 1"),
             (["portfolio", "--k", "8", "--time-limit", "-1"], "time_limit must be >= 0"),
+            (["portfolio", "--k", "8", "--tol", "inf"], "tol must be finite"),
         ],
     )
     def test_invalid_instance_is_usage_error(self, capsys, argv, message):

@@ -73,6 +73,11 @@ def random_feasible(kinds, seed, n=3, p=1):
     return ConicProblem(c, A, b, G, h, kinds)
 
 
+def _reduced(prob):
+    """``prob`` without equality rows, as ``solve`` hands it to the direction code."""
+    return solver._eliminate(prob, SolveOptions().tol)[0]
+
+
 # one mix per dual-barrier cone, keyed by that cone's tag
 DUAL_BARRIER_MIXES = {
     "epinorminfdual": [C.Nonneg(2), C.EpiNormInfDual(3), C.HypoPerLog(2)],
@@ -112,7 +117,7 @@ class TestHsdeInit:
 
 class TestComputeDirections:
     def test_centering_direction_zero_at_init(self):
-        prob = random_feasible([C.Nonneg(2), C.EpiNorm2(2)], seed=2)
+        prob = _reduced(random_feasible([C.Nonneg(2), C.EpiNorm2(2)], seed=2))
         d = compute_directions(prob, hsde_init(prob), "center")
         assert max(np.max(np.abs(v), initial=0.0) for v in vars(d).values()) <= 1e-10
 
@@ -138,7 +143,7 @@ class TestComputeDirections:
         ],
     )
     def test_direction_satisfies_linearized_equations(self, target, mix):
-        prob = random_feasible(DUAL_BARRIER_MIXES[mix], seed=3)
+        prob = _reduced(random_feasible(DUAL_BARRIER_MIXES[mix], seed=3))
         it = hsde_init(prob)
         # walk a step off the central path so the test point is generic
         d0 = compute_directions(prob, it, "predict")
@@ -156,7 +161,7 @@ class TestComputeDirections:
             r1, r2, r3, r4 = np.zeros(prob.n), np.zeros(prob.p), np.zeros(prob.q), 0.0
         A, G, c, b, h = prob.A, prob.G, prob.c, prob.b, prob.h
         assert np.max(np.abs(A.T @ d.dy + G.T @ d.dz + c * d.dtau - r1)) <= 1e-12
-        assert np.max(np.abs(-A @ d.dx + b * d.dtau - r2)) <= 1e-12
+        assert np.max(np.abs(-A @ d.dx + b * d.dtau - r2), initial=0.0) <= 1e-12
         assert np.max(np.abs(-G @ d.dx + h * d.dtau - d.ds - r3)) <= 1e-12
         lhs4 = -c @ d.dx - b @ d.dy - h @ d.dz - d.dkappa
         assert abs(lhs4 - r4) <= 1e-12
@@ -178,6 +183,12 @@ class TestComputeDirections:
         prob = lp_bounded()
         with pytest.raises(ValueError):
             compute_directions(prob, hsde_init(prob), "sideways")
+
+    def test_problem_with_rows_rejected(self):
+        # the direction code serves the reduced problem that ``solve`` iterates on
+        prob = random_feasible([C.Nonneg(2), C.EpiNorm2(2)], seed=2)
+        with pytest.raises(ValueError, match="equality rows"):
+            compute_directions(prob, hsde_init(prob), "predict")
 
 
 class TestLineSearch:
@@ -206,7 +217,7 @@ class TestLineSearch:
     def test_accepted_steps_stay_interior(self):
         kinds = [C.EpiNormInf(3), C.HypoGeomean(3)]
         for seed in range(5):
-            prob = random_feasible(kinds, seed=seed)
+            prob = _reduced(random_feasible(kinds, seed=seed))
             it = hsde_init(prob)
             for _ in range(6):
                 d = compute_directions(prob, it, "predict")
@@ -335,8 +346,12 @@ class TestSolve:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(tol=0.0)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            SolveOptions(tol=float("inf"))
         with pytest.raises(ValueError):
             SolveOptions(max_iters=0)
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolveOptions(max_iters=2.5)
         with pytest.raises(ValueError):
             SolveOptions(time_limit=-1.0)
         with pytest.raises(ValueError):
@@ -346,6 +361,7 @@ class TestSolve:
             SolveOptions(neighborhood_beta=0.2)
         # boundary values that stay legal
         SolveOptions(time_limit=0.0)
+        SolveOptions(time_limit=float("inf"), max_iters=np.int64(3))
 
     def test_one_oracle_evaluation_per_iterate(self, monkeypatch):
         keys = []
@@ -362,6 +378,7 @@ class TestSolve:
         assert keys and len(set(keys)) == len(keys)
 
         # directions from given oracles equal those evaluated inside
+        prob = _reduced(prob)
         it = hsde_init(prob)
         d0 = compute_directions(prob, it, "predict")
         it = solver._step(it, d0, line_search(prob, it, d0))
@@ -404,7 +421,7 @@ class TestSolve:
         assert len(set(calls)) == len(calls)
 
     def test_directions_reject_iterate_outside_domain(self):
-        prob, _ = build_instance(InstanceSpec("expdesign", 3, None, "rt", 0, "ef-exp"))
+        prob = _reduced(build_instance(InstanceSpec("expdesign", 3, None, "rt", 0, "ef-exp"))[0])
         it = hsde_init(prob)
         K, sl = prob.cones[0], prob.cone_slices()[0]
         side = it.z if K.uses_dual_barrier else it.s
