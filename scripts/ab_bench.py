@@ -4,15 +4,18 @@
 Usage (from the repository root):
 
     mkdir ../base && git archive HEAD~1 | tar -x -C ../base
-    python3 scripts/ab_bench.py --base ../base --workload all --pairs 5
+    python3 scripts/ab_bench.py --base ../base --workload all --pairs 10 [--seed N]
 
-A pair runs ``perfbench/run.py --workload W`` once from the base tree and
-once from this tree, each in its own process and one process at a time;
-the side that goes first alternates from pair to pair. For every end-to-end
-metric of this tree's BENCHMARK.json and every workload, the summary gives
-the median of each side, the change's worse-by fraction of the base median
-against the metric's bound, the number of pairs the change won (ties count
-for neither) and the interquartile range of the base's runs.
+A pair runs ``perfbench/run.py --workload W [--seed N]`` once from the base
+tree and once from this tree, each in its own process and one process at a
+time; the side that goes first alternates from pair to pair. After each
+pair the change - base difference of every end-to-end metric is printed.
+For every end-to-end metric of this tree's BENCHMARK.json and every
+workload, the summary gives the median of each side, the change's worse-by
+fraction of the base median against the metric's bound, the number of pairs
+the change won (ties count for neither), the interquartile range of the
+base's runs and the gain flag: the change won at least 9 of every 10 pairs
+and its median is better than the base's by more than that range.
 
 A run that exits non-zero, whose last stdout line is not JSON or that
 reports ``correct: false`` is printed with its side, pair, workload, exit
@@ -31,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STDERR_LINES = 20
+GAIN_WIN_FRACTION = 0.9
 
 
 def end_to_end_metrics():
@@ -78,6 +82,8 @@ def summarize(pairs, metrics):
             change = [c[workload]["metrics"][name]["value"] for _, c in pairs]
             sign = 1.0 if m["better"] == "lower" else -1.0
             base_med, change_med = statistics.median(base), statistics.median(change)
+            wins = sum(sign * (c - b) < 0.0 for b, c in zip(base, change))
+            base_iqr = _iqr(base)
             rows.append(
                 {
                     "workload": workload,
@@ -89,30 +95,50 @@ def summarize(pairs, metrics):
                     if base_med
                     else float("nan"),
                     "bound": m["bound"],
-                    "wins": sum(sign * (c - b) < 0.0 for b, c in zip(base, change)),
+                    "wins": wins,
                     "pairs": len(pairs),
-                    "base_iqr": _iqr(base),
+                    "base_iqr": base_iqr,
+                    "gain": wins >= GAIN_WIN_FRACTION * len(pairs)
+                    and sign * (base_med - change_med) > base_iqr,
                 }
             )
     return rows
 
 
+def pair_diffs(base, change, metrics):
+    """One line per workload: each end-to-end metric's change - base in one pair."""
+    lines = []
+    for workload, b in base.items():
+        c = change[workload]["metrics"]
+        diffs = (f"{m['name']}={c[m['name']]['value'] - b['metrics'][m['name']]['value']:+.4g}"
+                 for m in metrics)
+        lines.append(f"{workload}: {' '.join(diffs)}")
+    return lines
+
+
 def print_summary(rows):
     print(
         f"{'workload':11s} {'metric':12s} {'unit':6s} {'base':>10s} {'change':>10s} "
-        f"{'worse_by':>9s} {'bound':>6s} {'wins':>6s} {'base_iqr':>10s}"
+        f"{'worse_by':>9s} {'bound':>6s} {'wins':>6s} {'base_iqr':>10s} {'gain':>4s}"
     )
     for r in rows:
         flag = "  OVER BOUND" if r["worse_by"] > r["bound"] else ""
         print(
             f"{r['workload']:11s} {r['metric']:12s} {r['unit']:6s} {r['base']:10.4g} "
             f"{r['change']:10.4g} {r['worse_by']:+9.3f} {r['bound']:6.2f} "
-            f"{r['wins']:>3d}/{r['pairs']:<2d} {r['base_iqr']:10.4g}{flag}"
+            f"{r['wins']:>3d}/{r['pairs']:<2d} {r['base_iqr']:10.4g} "
+            f"{'yes' if r['gain'] else 'no':>4s}{flag}"
         )
 
 
-def run_side(tree, workload):
+def side_command(tree, workload, seed=None):
+    """The run.py command line of one side; without a seed run.py's default is used."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload]
+    return cmd if seed is None else [*cmd, "--seed", str(seed)]
+
+
+def run_side(tree, workload, seed=None):
+    cmd = side_command(tree, workload, seed)
     return subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
 
 
@@ -121,6 +147,7 @@ def main(argv=None):
     ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
     ap.add_argument("--workload", default="all", help="a workload of run.py, or all")
     ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=None, help="workload seed of both sides")
     args = ap.parse_args(argv)
     base = args.base.resolve()
     if not (base / "perfbench" / "run.py").is_file():
@@ -129,12 +156,13 @@ def main(argv=None):
         ap.error("--pairs must be >= 1")
 
     trees = {"base": base, "change": ROOT}
+    metrics = end_to_end_metrics()
     pairs = []
     for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         results = {}
         for side in order:
-            proc = run_side(trees[side], args.workload)
+            proc = run_side(trees[side], args.workload, args.seed)
             parsed = parse_run(proc.returncode, proc.stdout, args.workload)
             if isinstance(parsed, str):
                 print(
@@ -149,7 +177,9 @@ def main(argv=None):
             )
             print(f"pair {pair} {side}: solve_s {solve_s}", flush=True)
         pairs.append((results["base"], results["change"]))
-    print_summary(summarize(pairs, end_to_end_metrics()))
+        for line in pair_diffs(results["base"], results["change"], metrics):
+            print(f"pair {pair} change-base {line}", flush=True)
+    print_summary(summarize(pairs, metrics))
     return 0
 
 

@@ -26,6 +26,10 @@ The catalog states each fact once:
   with the ``HypoGeomean`` and ``HypoPerLog`` margins.
 - ``Cone.barrier`` holds the one barrier-domain guard; a cone states only the
   formula, ``_barrier``.
+- ``EpiNormInf`` and ``EpiNormSpectral`` (and so their dual-barrier
+  subclasses) share one closed-form inverse of the max-norm arrow Hessian,
+  ``_arrow_inv``, in their ``inv_hess_prod``; ``Cone.inv_hess_quad`` derives
+  v' H^-1 v from ``inv_hess_prod`` wherever a cone gives no own formula.
 - ``Nonneg``, ``EpiNorm2``, ``EpiPerSquare`` and ``HypoPerLog`` write their
   margins and barrier oracles to broadcast over a leading stack axis; a single
   block is the unstacked case. ``_Run`` evaluates a run of equal blocks of
@@ -212,12 +216,23 @@ class Cone:
     def hess(self, pt: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def inv_hess_prod(self, pt: np.ndarray, V: np.ndarray) -> np.ndarray | None:
+        """H(pt)^-1 V in closed form for V of shape (dim,) or (dim, k), or None
+        where the cone has none.
+
+        The solver applies it to the Schur columns of a dual-barrier block, so
+        that no block's dz is kept as an unknown of the direction system.
+        """
+        return None
+
     def inv_hess_quad(self, pt: np.ndarray, v: np.ndarray) -> float | None:
         """v' H(pt)^-1 v in closed form, or None where the cone has none.
 
-        A closed form returns inf when it cannot factor the point.
+        By default it is v' ``inv_hess_prod``(v). A closed form returns inf
+        when it cannot factor the point.
         """
-        return None
+        x = self.inv_hess_prod(pt, v)
+        return None if x is None else float(v @ x)
 
     def _products(self, s, z):
         """The complementarity product s'z/nu of each original block this block holds."""
@@ -409,6 +424,29 @@ class PosSemidef(_SizedByD):
 # ---------------------------------------------------------------------------
 
 
+def _arrow_inv(u, w, V):
+    """H^-1 V for the Hessian of -sum_i log(u^2 - w_i^2) + (d-1) log u at (u, w).
+
+    The Hessian is the arrow [[a, b'], [b, Diag(D)]]. With r_i = u^2 - w_i^2
+    and p_i = u^2 + w_i^2 its tail inverse is D_i^-1 = r_i^2/(2 p_i), the
+    tail's coupling is D^-1 b = -2 u w/p, and the corner's Schur scalar is
+    a - b'D^-1 b = (sum_i r_i/p_i + 1)/u^2. Every term of the scalar is
+    positive and r is formed as (u - |w|)(u + |w|), so nothing cancels near
+    the boundary. V has shape (1 + d,) or (1 + d, k).
+    """
+    aw = np.abs(w)
+    uu = u * u
+    r = (u - aw) * (u + aw)
+    p = uu + w * w
+    t = (-2.0 * u) * w / p
+    schur = (float(np.sum(r / p)) + 1.0) / uu
+    x0 = (V[0] - t @ V[1:]) / schur
+    X = np.empty(V.shape)
+    X[0] = x0
+    X[1:] = ((r * r / (2.0 * p)) * V[1:].T - np.multiply.outer(x0, t)).T
+    return X
+
+
 class EpiNormInf(_SizedByD):
     """Max-norm epigraph {(u, w): u >= max|w_i|}; dual is the l1 epigraph.
 
@@ -460,14 +498,8 @@ class EpiNormInf(_SizedByD):
         H[1:, 1:] = np.diag(D)
         return H
 
-    def inv_hess_quad(self, s, v):
-        # eliminate the diagonal tail; the corner's Schur complement is a scalar
-        a, b, D = self._arrow(s)
-        schur = a - float(np.sum(b * b / D))
-        if not schur > 0.0:
-            return float("inf")
-        t = v[1:] / D
-        return float(v[1:] @ t + (v[0] - b @ t) ** 2 / schur)
+    def inv_hess_prod(self, s, V):
+        return _arrow_inv(s[0], s[1:], np.asarray(V, dtype=float))
 
 
 class EpiNormInfDual(EpiNormInf):
@@ -557,6 +589,38 @@ class EpiNormSpectral(Cone):
         Hww += 2.0 * np.einsum("ib,aj->jiba", B, B).reshape(n, n)
         H[1:, 1:] = Hww
         return 0.5 * (H + H.T)
+
+    def inv_hess_prod(self, pt, V):
+        # In the SVD coordinates of W = U diag(sig) Q', E -> U'E Q, the Hessian
+        # splits into the max-norm arrow on (u, E_ii), the 2 x 2 block
+        # (2/(z_i z_j)) [[u^2, sig_i sig_j], [sig_i sig_j, u^2]] on each pair
+        # (E_ij, E_ji) with i < j <= r, and 2/z_i on each E_ij with j > r,
+        # where z_i = u^2 - sig_i^2. The k right-hand sides are held as
+        # (s, r, k) arrays indexed [j, i, l], the layout of V's rows.
+        r, s = self.r, self.s
+        u = pt[0]
+        U, sig, Qt = np.linalg.svd(self._mat(pt[1:]))
+        V2 = np.asarray(V, dtype=float).reshape(self.dim, -1)
+        k = V2.shape[1]
+        E = (Qt @ (U.T @ V2[1:].reshape(s, r, k)).reshape(s, r * k)).reshape(s, r, k)
+        z = (u - sig) * (u + sig)
+        X = np.empty(E.shape)
+        X[r:] = (0.5 * z)[:, None] * E[r:]
+        # u^4 - (sig_i sig_j)^2 with u^2 - sig_i sig_j = (z_i + z_j + (sig_i - sig_j)^2)/2
+        ss = np.outer(sig, sig)
+        gap = sig[:, None] - sig[None, :]
+        det = 0.5 * (z[:, None] + z[None, :] + gap * gap) * (u * u + ss)
+        Er = E[:r]
+        X[:r] = (0.5 * np.outer(z, z) / det)[:, :, None] * (
+            u * u * Er - ss[:, :, None] * Er.transpose(1, 0, 2)
+        )
+        i = np.arange(r)
+        arrow = _arrow_inv(u, sig, np.vstack((V2[:1], E[i, i])))
+        X[i, i] = arrow[1:]
+        out = np.empty((self.dim, k))
+        out[0] = arrow[0]
+        out[1:] = (U @ (Qt.T @ X.reshape(s, r * k)).reshape(s, r, k)).reshape(r * s, k)
+        return out.reshape(np.shape(V))
 
 
 class EpiNormSpectralDual(EpiNormSpectral):

@@ -12,8 +12,11 @@ A block's barrier lives on s, or on z for a cone that carries its dual
 cone's barrier. ``_sides`` is the one place that swap is stated: the initial
 point, the domain test, the oracles, the complementarity rows and the
 proximity measure all read a block's two sides through it. ``_KKTSystem``
-keeps the dz of dual-barrier blocks as unknowns, so their Hessians are never
-inverted, and the line search orders each block's membership tests by cost.
+eliminates the dz of every block: a dual-barrier block enters through
+products with the inverse of its Hessian, which ``_inv_hess_prod`` takes from
+the cone's closed form or else from a Cholesky of the Hessian, so the
+direction system is n x n. The line search orders each block's membership
+tests by cost.
 
 ``solve`` iterates on the result of a chain of setup transforms:
 ``_eliminate`` removes the equality rows with one QR of A' (x = x0 + Q2 w),
@@ -31,6 +34,7 @@ the returned point is built.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import numbers
 import time
@@ -185,9 +189,8 @@ def hsde_residuals(problem: ConicProblem, it: HSDEIterate):
     return _model_rows(problem, it.x, it.y, it.z, it.tau, it.s, it.kappa)
 
 
-# diagonal regularization of the quasi-definite direction system, +reg on the
-# dx diagonal and -reg on the dz diagonal only; keeps it nonsingular when G is
-# rank-deficient
+# diagonal regularization added to the n x n direction system; keeps it
+# nonsingular when G is rank-deficient
 _STATIC_REG = 1e-10
 
 # |diag R| of the QR of A' at or below this fraction of its largest entry
@@ -224,15 +227,44 @@ class _Oracles:
     def __init__(self, problem: ConicProblem, it: HSDEIterate):
         self.problem = problem
         self.slices = problem.cone_slices()
+        self.points = []  # each block's barrier side
         self.grads = []
         self.hesses = []
         try:
             for K, sl in zip(problem.cones, self.slices):
                 pt = _sides(K, it.s[sl], it.z[sl])[0]
+                self.points.append(pt)
                 self.grads.append(K.grad(pt))
                 self.hesses.append(K.hess(pt))
         except (NotInteriorError, np.linalg.LinAlgError) as exc:
             raise _KKTError("barrier oracle failed") from exc
+
+
+def _inv_hess_prod(K, pt, H, V):
+    """H^-1 V for one block, H = K.hess(pt): the cone's closed form, else a Cholesky of H.
+
+    Near convergence H has condition about 1/mu^2, where Cholesky can report
+    numerical indefiniteness; H is then inverted through its
+    eigendecomposition with a relative eigenvalue floor. A Hessian without a
+    finite positive eigenvalue gives NaN.
+    """
+    X = K.inv_hess_prod(pt, V)
+    if X is not None:
+        return X
+    Hs = 0.5 * (H + H.T)
+    try:
+        return sla.cho_solve(sla.cho_factor(Hs, check_finite=False), V, check_finite=False)
+    except sla.LinAlgError:
+        w, Q = np.linalg.eigh(Hs)
+        if not np.all(np.isfinite(w)) or w.max() <= 0.0:
+            return np.full(np.shape(V), np.nan)
+        w = np.maximum(w, 1e-16 * w.max())
+        return ((Q / w) @ Q.T) @ V
+
+
+def _scaled_inv_hess_prod(K, pt, H, mu, V):
+    """(mu H)^-1 V for one block, through ``_inv_hess_prod``."""
+    return _inv_hess_prod(K, pt, H, V) / mu
 
 
 def _complementarity_rhs(problem, it, oracles, mu, target):
@@ -248,17 +280,16 @@ def _complementarity_rhs(problem, it, oracles, mu, target):
 class _KKTSystem:
     """Reduced solve of the linearized embedding equations.
 
-    Eliminates ds (via the cone rows) and dkappa (via the tau/kappa row).
-    Blocks with a primal barrier also eliminate dz through mu*H(s), leaving
-    those rows inside the Schur term G' (mu H) G; blocks carrying the dual
-    barrier keep dz as explicit unknowns so that mu*H*(z) enters the system
-    as a matrix block and is never inverted (near convergence H* has
-    condition about 1/mu^2, which an explicit inverse cannot survive).
-    The assembled symmetric quasi-definite system in (dx, dz_dual) is
-    statically regularized, LU-factored once per call, and solved for two
-    right-hand sides to resolve the scalar dtau equation. It takes only
-    problems without equality rows, as ``_eliminate`` leaves them, so the
-    direction's dy is empty.
+    Eliminates ds (via the cone rows), dkappa (via the tau/kappa row) and the
+    dz of every block, dz_b = p_b + M_b (G_b dx - h_b dtau): a primal-barrier
+    block has M_b = mu H(s_b), a dual-barrier block M_b = (mu H*(z_b))^-1,
+    applied through ``_inv_hess_prod`` to the columns [G_b, h_b] once per
+    call and to p_b's right-hand side once per solve. What
+    remains is the n x n Schur system S = sum_b G_b' M_b G_b, statically
+    regularized, LU-factored once per call and solved for two right-hand
+    sides to resolve the scalar dtau equation. It takes only problems without
+    equality rows, as ``_eliminate`` leaves them, so the direction's dy is
+    empty.
     """
 
     def __init__(self, problem: ConicProblem, it: HSDEIterate, oracles: _Oracles, mu: float):
@@ -269,63 +300,42 @@ class _KKTSystem:
         n = problem.n
         G, h, c = problem.G, problem.h, problem.c
 
-        self.primal, self.dual = [], []
-        for blk in zip(problem.cones, oracles.slices, oracles.hesses):
-            (self.dual if blk[0].uses_dual_barrier else self.primal).append(blk)
-        self.dual_rows = np.concatenate(
-            [np.arange(sl.start, sl.stop) for _, sl, _ in self.dual]
-        ) if self.dual else np.zeros(0, dtype=int)
-        qd = self.dual_rows.size
-        GD = G[self.dual_rows]
-        self.hD = h[self.dual_rows]
-
-        # K2 is assembled in place, column-major so that the LU overwrites it
-        dim = n + qd
-        K2 = np.zeros((dim, dim), order="F")
-        reg = _STATIC_REG
-        # Schur contribution and tau-column pieces from primal-barrier blocks
-        S = K2[:n, :n]
+        # S is assembled in place, column-major so that the LU overwrites it
+        S = np.zeros((n, n), order="F")
         GMh = np.zeros(n)
         hMh = 0.0
-        self.Mprimal = []
-        for K, sl, H in self.primal:
-            Mb = mu * H
-            self.Mprimal.append(Mb)
-            MG = Mb @ G[sl]
+        # per block (slice, M_b, M_b [G_b, h_b]): M_b is the matrix mu H of a
+        # primal-barrier block, with no columns kept, or the map v -> (mu H)^-1 v
+        # of a dual-barrier block
+        self.blocks = []
+        for K, sl, pt, H in zip(problem.cones, oracles.slices, oracles.points, oracles.hesses):
+            if K.uses_dual_barrier:
+                Mb = functools.partial(_scaled_inv_hess_prod, K, pt, H, mu)
+                MGh = Mb(np.column_stack((G[sl], h[sl])))
+                MG, Mhb = MGh[:, :n], MGh[:, n]
+            else:
+                Mb, MGh = mu * H, None
+                MG, Mhb = Mb @ G[sl], Mb @ h[sl]
+            self.blocks.append((sl, Mb, MGh))
             S += G[sl].T @ MG
-            Mhb = Mb @ h[sl]
             GMh += G[sl].T @ Mhb
             hMh += float(h[sl] @ Mhb)
-
-        K2[:n, n:] = GD.T
-        K2[n:, :n] = GD
-        off = n
-        for K, sl, H in self.dual:
-            blk = K2[off : off + H.shape[0], off : off + H.shape[0]]
-            np.add(H, H.T, out=blk)
-            blk *= -0.5 * mu
-            off += H.shape[0]
-        # static regularization: +reg on the dx diagonal, -reg on the dz one
-        i = np.arange(dim)
-        K2[i[:n], i[:n]] += reg
-        K2[i[n:], i[n:]] -= reg
-        # no library finiteness checks: a non-finite K2 or right-hand side
+        i = np.arange(n)
+        S[i, i] += _STATIC_REG
+        # no library finiteness checks: a non-finite S or right-hand side
         # shows up as a non-finite w2 or direction, which is tested once
         try:
-            self.lu = sla.lu_factor(K2, overwrite_a=True, check_finite=False)
+            self.lu = sla.lu_factor(S, overwrite_a=True, check_finite=False)
         except sla.LinAlgError as exc:
             raise _KKTError("KKT factorization failed") from exc
 
         # second solve: coefficient of dtau in the reduced system
-        rhs2 = np.concatenate((-(c - GMh), self.hD))
-        self.w2 = w2 = sla.lu_solve(self.lu, rhs2, check_finite=False)
+        self.w2 = w2 = sla.lu_solve(self.lu, -(c - GMh), check_finite=False)
         if not np.isfinite(w2).all():
             raise _KKTError("singular KKT system")
         # the dtau row's data and denominator are the same for every solve
         self.cp = c + GMh
-        self.denom = (
-            -float(self.cp @ w2[:n]) - float(self.hD @ w2[n:]) + hMh + it.kappa / it.tau
-        )
+        self.denom = -float(self.cp @ w2) + hMh + it.kappa / it.tau
         if not np.isfinite(self.denom) or abs(self.denom) < 1e-300:
             raise _KKTError("singular reduced system")
 
@@ -333,29 +343,30 @@ class _KKTSystem:
         pr = self.problem
         n = pr.n
         it = self.it
-        # primal-block pieces: dz_b = r5_b + M_b (G dx - h dtau + r3)_b
+        # p_b: r5_b + M_b r3_b for a primal-barrier block, M_b (r3_b + r5_b) for a dual one
         u1 = r1.copy()
-        hRM = 0.0
-        for (K, sl, H), Mb in zip(self.primal, self.Mprimal):
-            RMr3 = r5[sl] + Mb @ r3[sl]
-            u1 -= pr.G[sl].T @ RMr3
-            hRM += float(pr.h[sl] @ RMr3)
-        rhsD = -(r3[self.dual_rows] + r5[self.dual_rows])
-        w1 = sla.lu_solve(self.lu, np.concatenate((u1, rhsD)), check_finite=False)
-        u4 = r4 + hRM + r6 / it.tau
-        dtau = (u4 + float(self.cp @ w1[:n]) + float(self.hD @ w1[n:])) / self.denom
-        sol = w1 + dtau * self.w2
-        dx = sol[:n]
+        hp = 0.0
+        ps = []
+        for sl, Mb, MGh in self.blocks:
+            p = r5[sl] + Mb @ r3[sl] if MGh is None else Mb(r3[sl] + r5[sl])
+            ps.append(p)
+            u1 -= pr.G[sl].T @ p
+            hp += float(pr.h[sl] @ p)
+        w1 = sla.lu_solve(self.lu, u1, check_finite=False)
+        u4 = r4 + hp + r6 / it.tau
+        dtau = (u4 + float(self.cp @ w1)) / self.denom
+        dx = w1 + dtau * self.w2
         Gdx = pr.G @ dx
         ds = -Gdx + pr.h * dtau - r3
         dz = np.empty(pr.q)
-        for (K, sl, H), Mb in zip(self.primal, self.Mprimal):
-            dz[sl] = r5[sl] + Mb @ (Gdx[sl] - pr.h[sl] * dtau + r3[sl])
-        dz[self.dual_rows] = sol[n:]
+        for (sl, Mb, MGh), p in zip(self.blocks, ps):
+            if MGh is None:
+                dz[sl] = r5[sl] + Mb @ (Gdx[sl] - pr.h[sl] * dtau + r3[sl])
+            else:
+                dz[sl] = p + MGh[:, :n] @ dx - MGh[:, n] * dtau
         dkappa = (r6 - it.kappa * dtau) / it.tau
-        # sol holds dx and the dual-barrier rows of dz
         if not (
-            np.isfinite(sol).all()
+            np.isfinite(dx).all()
             and np.isfinite(dz).all()
             and np.isfinite(ds).all()
             and math.isfinite(dtau)
@@ -497,32 +508,20 @@ def _proximity(problem, it, oracles, mu):
     """Scaled distance to the mu-center, measured in the local Hessian norms.
 
     A block's term psi' H^-1 psi comes from the cone's closed form where it
-    has one (nonneg, second-order, max-norm, PSD and perspective-log blocks,
-    and runs of them); every other block factors its Hessian.
+    has one (nonneg, second-order, max-norm, spectral-norm, PSD and
+    perspective-log blocks, their dual-barrier variants and runs of them);
+    every other block takes psi' ``_inv_hess_prod``(psi).
     """
     total = (it.tau * it.kappa - mu) ** 2
-    for K, sl, g, H in zip(problem.cones, oracles.slices, oracles.grads, oracles.hesses):
-        barrier_side, other = _sides(K, it.s[sl], it.z[sl])
-        psi = other + mu * g
-        quad = K.inv_hess_quad(barrier_side, psi)
-        if quad is not None:
-            total += quad
-            continue
-        Hs = 0.5 * (H + H.T)
-        try:
-            cho = sla.cho_factor(Hs, check_finite=False)
-            total += float(psi @ sla.cho_solve(cho, psi, check_finite=False))
-        except sla.LinAlgError:
-            # Hessian condition nears 1/mu^2 close to convergence, where
-            # Cholesky can report numerical indefiniteness: invert through
-            # the eigendecomposition with a relative eigenvalue floor
-            w, V = np.linalg.eigh(Hs)
-            if not np.all(np.isfinite(w)) or w.max() <= 0.0:
-                return float("inf")
-            w = np.maximum(w, 1e-16 * w.max())
-            total += float(psi @ (((V / w) @ V.T) @ psi))
+    for K, sl, pt, g, H in zip(
+        problem.cones, oracles.slices, oracles.points, oracles.grads, oracles.hesses
+    ):
+        psi = _sides(K, it.s[sl], it.z[sl])[1] + mu * g
+        quad = K.inv_hess_quad(pt, psi)
+        total += float(psi @ _inv_hess_prod(K, pt, H, psi)) if quad is None else quad
     # near convergence the block Hessians are so ill-conditioned that
-    # psi' H^-1 psi can round below zero; treat that as far from the center
+    # psi' H^-1 psi can round below zero or be NaN; treat that as far from
+    # the center
     if not total >= 0.0:
         return float("inf")
     return float(np.sqrt(total)) / mu

@@ -81,3 +81,46 @@ def test_failed_runs_are_reported():
     assert "correct: false" in ab.parse_run(0, json.dumps(result(1.0, correct=False)), "w")
     mixed = {"correct": False, "workloads": {"a": result(1.0), "b": result(2.0, correct=False)}}
     assert ab.parse_run(0, json.dumps(mixed), "all") == "correct: false (b)"
+
+
+def test_gain_needs_nine_of_ten_wins_beyond_the_base_iqr():
+    ab = load_ab_bench()
+    base = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98, 1.01, 0.99]
+
+    def row(change):
+        pairs = [({"w": result(b)}, {"w": result(c)}) for b, c in zip(base, change)]
+        return ab.summarize(pairs, METRICS[:1])[0]
+
+    # nine wins and a median 0.3 below the base's (IQR about 0.05)
+    clear = [b - 0.3 for b in base[:9]] + [base[9] + 0.1]
+    assert (row(clear)["wins"], row(clear)["gain"]) == (9, True)
+    # eight wins are too few, however large the gap
+    eight = [b - 0.3 for b in base[:8]] + [b + 0.1 for b in base[8:]]
+    assert (row(eight)["wins"], row(eight)["gain"]) == (8, False)
+    # ten wins by less than the base's spread are noise
+    small = [b - 0.001 for b in base]
+    assert row(small)["wins"] == 10 and row(small)["base_iqr"] > 0.001
+    assert not row(small)["gain"]
+    # a change that is worse is no gain
+    assert not row([b + 0.3 for b in base])["gain"]
+    # a single pair has no IQR and so no gain
+    assert not ab.summarize([({"w": result(2.0)}, {"w": result(1.0)})], METRICS)[0]["gain"]
+
+
+def test_pair_diffs_are_change_minus_base():
+    ab = load_ab_bench()
+    base = {"a": result(2.0, 1.0), "b": result(1.0, 0.5)}
+    change = {"a": result(1.5, 1.0), "b": result(1.25, 1.0)}
+    assert ab.pair_diffs(base, change, METRICS) == [
+        "a: solve_s=-0.5 pass_frac=+0",
+        "b: solve_s=+0.25 pass_frac=+0.5",
+    ]
+
+
+def test_seed_is_passed_to_both_sides():
+    ab = load_ab_bench()
+    tree = Path("/some/tree")
+    cmd = ab.side_command(tree, "nf-kkt", 3)
+    assert cmd[1:] == [str(tree / "perfbench" / "run.py"), "--workload", "nf-kkt", "--seed", "3"]
+    # without --seed run.py picks its default seed
+    assert "--seed" not in ab.side_command(tree, "all")

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -268,6 +269,32 @@ class TestPsdHessianReference:
             assert np.max(np.abs(H[off:, off:] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+SPECTRAL_SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 5)]
+
+
+def near_boundary_point(K, rng, eps):
+    """A max-norm or spectral-norm barrier point with u = (1 + eps) times the norm of w."""
+    pt = sample_barrier_point(K, rng)
+    if K.tag in ("epinorminf", "epinorminfdual"):
+        norm = np.max(np.abs(pt[1:]))
+    else:
+        norm = np.linalg.svd(K._mat(pt[1:]), compute_uv=False)[0]
+    pt[0] = norm * (1.0 + eps)
+    return pt
+
+
+def _exact_arrow_quad(pt, v):
+    """v' H^-1 v for the max-norm barrier's arrow Hessian, in exact rational arithmetic."""
+    u, w, v = Fraction(pt[0]), [Fraction(x) for x in pt[1:]], [Fraction(x) for x in v]
+    r = [u * u - x * x for x in w]
+    a = sum(-2 / ri + 4 * u * u / ri**2 for ri in r) - (len(w) - 1) / u**2
+    b = [-4 * u * x / ri**2 for x, ri in zip(w, r)]
+    D = [2 / ri + 4 * x * x / ri**2 for x, ri in zip(w, r)]
+    schur = a - sum(bi * bi / Di for bi, Di in zip(b, D))
+    lead = v[0] - sum(bi * vi / Di for bi, vi, Di in zip(b, v[1:], D))
+    return sum(vi * vi / Di for vi, Di in zip(v[1:], D)) + lead * lead / schur
+
+
 class TestInverseHessianQuad:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize(
@@ -291,6 +318,31 @@ class TestInverseHessianQuad:
             want = v @ np.linalg.solve(K.hess(pt), v)
             assert abs(K.inv_hess_quad(pt, v) - want) <= 1e-10 * abs(want)
 
+    @pytest.mark.parametrize("kind", [C.EpiNormSpectral, C.EpiNormSpectralDual])
+    @pytest.mark.parametrize("r, s", SPECTRAL_SHAPES)
+    def test_spectral_closed_form_matches_dense_solve(self, kind, r, s):
+        K = kind(r, s)
+        rng = np.random.default_rng(70 + r * s)
+        for _ in range(3):
+            pt = sample_barrier_point(K, rng)
+            v = rng.standard_normal(K.dim)
+            want = v @ np.linalg.solve(K.hess(pt), v)
+            assert abs(K.inv_hess_quad(pt, v) - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_max_norm_quad_is_exact_near_the_boundary(self, d):
+        # u = max|w_i| (1 + eps): the quad agrees with an exact rational
+        # evaluation of the arrow form at the same float inputs, down to
+        # eps = 1e-10, where a - b'D^-1 b computed in floats cancels entirely
+        K = C.EpiNormInf(d)
+        rng = np.random.default_rng(80 + d)
+        for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+            for _ in range(2):
+                pt = near_boundary_point(K, rng, eps)
+                v = rng.standard_normal(K.dim)
+                want = float(_exact_arrow_quad(pt, v))
+                assert abs(K.inv_hess_quad(pt, v) - want) <= 1e-12 * want, eps
+
     def test_psd_outside_domain_is_inf(self):
         K = C.PosSemidef(2)
         assert K.inv_hess_quad(svec(-np.eye(2)), np.ones(3)) == np.inf
@@ -298,6 +350,37 @@ class TestInverseHessianQuad:
     def test_other_cones_have_no_closed_form(self):
         K = C.HypoGeomean(2)
         assert K.inv_hess_quad(K.initial_point(), np.ones(3)) is None
+
+
+class TestInverseHessianProd:
+    @pytest.mark.parametrize(
+        "K",
+        [kind(d) for kind in (C.EpiNormInf, C.EpiNormInfDual) for d in (1, 2, 3, 5, 8)]
+        + [kind(r, s) for kind in (C.EpiNormSpectral, C.EpiNormSpectralDual)
+           for r, s in SPECTRAL_SHAPES],
+        ids=repr,
+    )
+    def test_closed_form_matches_dense_solve(self, K):
+        rng = np.random.default_rng(90 + K.dim)
+        for _ in range(3):
+            pt = sample_barrier_point(K, rng)
+            H = K.hess(pt)
+            for V in (rng.standard_normal(K.dim), rng.standard_normal((K.dim, 4))):
+                X = K.inv_hess_prod(pt, V)
+                want = np.linalg.solve(H, V)
+                assert X.shape == V.shape
+                assert np.max(np.abs(X - want)) <= 1e-10 * np.max(np.abs(want))
+            # a point 1e-6 from the boundary: a backward-stable solve
+            pt = near_boundary_point(K, rng, 1e-6)
+            H = K.hess(pt)
+            for V in (rng.standard_normal(K.dim), rng.standard_normal((K.dim, 4))):
+                X = K.inv_hess_prod(pt, V)
+                res = np.linalg.norm(H @ X - V)
+                assert res <= 1e-14 * (np.linalg.norm(H) * np.linalg.norm(X) + np.linalg.norm(V))
+
+    def test_other_cones_have_no_closed_form(self):
+        for K in (C.HypoGeomean(2), C.Wsos(build_interp(1, 2).P)):
+            assert K.inv_hess_prod(K.initial_point(), np.ones(K.dim)) is None
 
 
 STACKABLE = [C.Nonneg, C.EpiNorm2, C.EpiPerSquare, C.HypoPerLog]

@@ -299,6 +299,25 @@ class TestSolve:
             assert res.status is SolveStatus.OPTIMAL, seed
             assert classify_certificate(prob, res.point).kind is CertificateKind.OPTIMAL, seed
 
+    @pytest.mark.parametrize("mix", DUAL_BARRIER_MIXES)
+    def test_direction_system_is_n_by_n(self, mix, monkeypatch):
+        # every block's dz is eliminated, a dual-barrier block's through
+        # products with its inverse Hessian, so only the n x n Schur system
+        # of the reduced problem is factored
+        shapes = []
+        lu_factor = solver.sla.lu_factor
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(solver.sla, "lu_factor", recording)
+        prob = random_feasible(DUAL_BARRIER_MIXES[mix], seed=0)
+        res = solve(prob)
+        assert res.status is SolveStatus.OPTIMAL
+        n = _reduced(prob).n
+        assert shapes and set(shapes) == {(n, n)}
+
     def test_determinism(self):
         prob = random_feasible([C.EpiNormInf(3), C.HypoGeomean(3)], seed=9)
         r1 = solve(prob)
