@@ -4,12 +4,15 @@
 Usage (from the repository root):
 
     mkdir ../base && git archive HEAD~1 | tar -x -C ../base
-    python3 scripts/ab_bench.py --base ../base --workload all --pairs 10 [--seed N]
+    python3 scripts/ab_bench.py --base ../base --workload all --pairs 10 [--seed N ...]
 
 A pair runs ``perfbench/run.py --workload W [--seed N]`` once from the base
 tree and once from this tree, each in its own process and one process at a
-time; the side that goes first alternates from pair to pair. After each
-pair the change - base difference of every end-to-end metric is printed.
+time; the side that goes first alternates from pair to pair. With several
+seeds (``--seed 3 5 7``) the pairs take them in turn, both sides of a pair
+at the same seed; without ``--seed`` run.py's default seed is used. Each
+pair's lines name its seed. After each pair the change - base difference
+of every end-to-end metric is printed.
 For every end-to-end metric of this tree's BENCHMARK.json and every
 workload, the summary gives the median of each side, the change's worse-by
 fraction of the base median against the metric's bound, the number of pairs
@@ -131,6 +134,24 @@ def print_summary(rows):
         )
 
 
+def pair_seed(seeds, pair):
+    """The workload seed of both sides of pair ``pair``: ``seeds`` in turn, or None."""
+    return seeds[pair % len(seeds)] if seeds else None
+
+
+def pair_label(pair, seed):
+    """The prefix of each line printed for one pair."""
+    return f"pair {pair} seed {'default' if seed is None else seed}"
+
+
+def side_line(label, side, results):
+    """The per-workload ``solve_s`` of one side's run, as printed after the run."""
+    solve_s = " ".join(
+        f"{name}={res['metrics']['solve_s']['value']:.4f}" for name, res in results.items()
+    )
+    return f"{label} {side}: solve_s {solve_s}"
+
+
 def side_command(tree, workload, seed=None):
     """The run.py command line of one side; without a seed run.py's default is used."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload]
@@ -147,7 +168,10 @@ def main(argv=None):
     ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
     ap.add_argument("--workload", default="all", help="a workload of run.py, or all")
     ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=None, help="workload seed of both sides")
+    ap.add_argument(
+        "--seed", type=int, nargs="+", default=None,
+        help="workload seeds, taken in turn from pair to pair by both sides",
+    )
     args = ap.parse_args(argv)
     base = args.base.resolve()
     if not (base / "perfbench" / "run.py").is_file():
@@ -160,25 +184,24 @@ def main(argv=None):
     pairs = []
     for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        seed = pair_seed(args.seed, pair)
+        label = pair_label(pair, seed)
         results = {}
         for side in order:
-            proc = run_side(trees[side], args.workload, args.seed)
+            proc = run_side(trees[side], args.workload, seed)
             parsed = parse_run(proc.returncode, proc.stdout, args.workload)
             if isinstance(parsed, str):
                 print(
-                    f"FAILED RUN side={side} pair={pair} workload={args.workload} "
+                    f"FAILED RUN side={side} pair={pair} seed={seed} workload={args.workload} "
                     f"exit={proc.returncode}: {parsed}"
                 )
                 print("\n".join(proc.stderr.splitlines()[-STDERR_LINES:]))
                 return 1
             results[side] = parsed
-            solve_s = " ".join(
-                f"{name}={res['metrics']['solve_s']['value']:.4f}" for name, res in parsed.items()
-            )
-            print(f"pair {pair} {side}: solve_s {solve_s}", flush=True)
+            print(side_line(label, side, parsed), flush=True)
         pairs.append((results["base"], results["change"]))
         for line in pair_diffs(results["base"], results["change"], metrics):
-            print(f"pair {pair} change-base {line}", flush=True)
+            print(f"{label} change-base {line}", flush=True)
     print_summary(summarize(pairs, metrics))
     return 0
 

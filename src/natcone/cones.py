@@ -27,9 +27,14 @@ The catalog states each fact once:
 - ``Cone.barrier`` holds the one barrier-domain guard; a cone states only the
   formula, ``_barrier``.
 - ``EpiNormInf`` and ``EpiNormSpectral`` (and so their dual-barrier
-  subclasses) share one closed-form inverse of the max-norm arrow Hessian,
-  ``_arrow_inv``, in their ``inv_hess_prod``; ``Cone.inv_hess_quad`` derives
-  v' H^-1 v from ``inv_hess_prod`` wherever a cone gives no own formula.
+  subclasses) share the max-norm arrow Hessian, ``_Arrow``: it states the
+  arrow's pieces once and applies it and its closed-form inverse, all from
+  one r_i = u^2 - w_i^2 that ``_arrow_r`` forms without cancellation. Their
+  ``hess_prod`` and ``inv_hess_prod`` apply H and H^-1 without forming H;
+  every product at one point can share its ``_factor`` (the arrow, and for
+  the spectral norm also the SVD of W and the coefficients in its
+  coordinates). ``Cone.inv_hess_quad`` derives v' H^-1 v from
+  ``inv_hess_prod`` wherever a cone gives no own formula.
 - ``Nonneg``, ``EpiNorm2``, ``EpiPerSquare`` and ``HypoPerLog`` write their
   margins and barrier oracles to broadcast over a leading stack axis; a single
   block is the unstacked case. ``_Run`` evaluates a run of equal blocks of
@@ -216,12 +221,33 @@ class Cone:
     def hess(self, pt: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def inv_hess_prod(self, pt: np.ndarray, V: np.ndarray) -> np.ndarray | None:
+    def _factor(self, pt: np.ndarray):
+        """What ``hess_prod`` and ``inv_hess_prod`` at pt share, or None where
+        the cone has no closed-form products.
+
+        The solver computes it once per block and iterate and passes it to
+        every product at that point; a product not given it computes it.
+        """
+        return None
+
+    def hess_prod(self, pt: np.ndarray, V: np.ndarray, factor=None) -> np.ndarray | None:
+        """H(pt) V in closed form for V of shape (dim,) or (dim, k), or None
+        where the cone has none.
+
+        The solver asks a block with this form for no dense Hessian: it
+        applies the product to the Schur columns of a primal-barrier block
+        and in the residuals of the direction system. ``factor`` is
+        ``_factor(pt)``, computed here when not given.
+        """
+        return None
+
+    def inv_hess_prod(self, pt: np.ndarray, V: np.ndarray, factor=None) -> np.ndarray | None:
         """H(pt)^-1 V in closed form for V of shape (dim,) or (dim, k), or None
         where the cone has none.
 
         The solver applies it to the Schur columns of a dual-barrier block, so
         that no block's dz is kept as an unknown of the direction system.
+        ``factor`` is ``_factor(pt)``, computed here when not given.
         """
         return None
 
@@ -424,33 +450,54 @@ class PosSemidef(_SizedByD):
 # ---------------------------------------------------------------------------
 
 
-def _arrow_inv(u, w, V):
-    """H^-1 V for the Hessian of -sum_i log(u^2 - w_i^2) + (d-1) log u at (u, w).
-
-    The Hessian is the arrow [[a, b'], [b, Diag(D)]]. With r_i = u^2 - w_i^2
-    and p_i = u^2 + w_i^2 its tail inverse is D_i^-1 = r_i^2/(2 p_i), the
-    tail's coupling is D^-1 b = -2 u w/p, and the corner's Schur scalar is
-    a - b'D^-1 b = (sum_i r_i/p_i + 1)/u^2. Every term of the scalar is
-    positive and r is formed as (u - |w|)(u + |w|), so nothing cancels near
-    the boundary. V has shape (1 + d,) or (1 + d, k).
-    """
+def _arrow_r(u, w):
+    """r_i = u^2 - w_i^2 formed as (u - |w_i|)(u + |w_i|), exact near the boundary."""
     aw = np.abs(w)
-    uu = u * u
-    r = (u - aw) * (u + aw)
-    p = uu + w * w
-    t = (-2.0 * u) * w / p
-    schur = (float(np.sum(r / p)) + 1.0) / uu
-    x0 = (V[0] - t @ V[1:]) / schur
-    X = np.empty(V.shape)
-    X[0] = x0
-    X[1:] = ((r * r / (2.0 * p)) * V[1:].T - np.multiply.outer(x0, t)).T
-    return X
+    return (u - aw) * (u + aw)
+
+
+class _Arrow:
+    """The Hessian of -sum_i log(u^2 - w_i^2) + (d-1) log u at (u, w), an arrow.
+
+    H = [[a, b'], [b, Diag(D)]] with r = ``_arrow_r(u, w)``, p_i = u^2 + w_i^2,
+    D_i = 2 p_i/r_i^2, b_i = -4 u w_i/r_i^2 and a = sum_i D_i - (d-1)/u^2; a
+    sums positive terms with a smaller one subtracted. Its inverse has tail
+    D_i^-1 = r_i^2/(2 p_i), coupling D^-1 b = -2 u w/p and corner Schur scalar
+    a - b'D^-1 b = (sum_i r_i/p_i + 1)/u^2, whose terms are all positive. So
+    nothing cancels near the boundary. ``prod`` and ``inv`` apply H and H^-1
+    to V of shape (1 + d,) or (1 + d, k).
+    """
+
+    def __init__(self, u, w, r):
+        uu = u * u
+        p = uu + w * w
+        rr = r * r
+        self.D = 2.0 * p / rr
+        self.b = (-4.0 * u) * w / rr
+        self.a = float(np.sum(self.D)) - (w.size - 1) / uu
+        self.t = (-2.0 * u) * w / p
+        self.schur = (float(np.sum(r / p)) + 1.0) / uu
+        self.D_inv = rr / (2.0 * p)
+
+    def prod(self, V):
+        X = np.empty(V.shape)
+        X[0] = self.a * V[0] + self.b @ V[1:]
+        X[1:] = (self.D * V[1:].T + np.multiply.outer(V[0], self.b)).T
+        return X
+
+    def inv(self, V):
+        x0 = (V[0] - self.t @ V[1:]) / self.schur
+        X = np.empty(V.shape)
+        X[0] = x0
+        X[1:] = (self.D_inv * V[1:].T - np.multiply.outer(x0, self.t)).T
+        return X
 
 
 class EpiNormInf(_SizedByD):
     """Max-norm epigraph {(u, w): u >= max|w_i|}; dual is the l1 epigraph.
 
-    Barrier -sum_i log(u^2 - w_i^2) + (d-1) log u with nu = d + 1.
+    Barrier -sum_i log(u^2 - w_i^2) + (d-1) log u with nu = d + 1. Its
+    Hessian is an arrow, and its ``_factor`` is that ``_Arrow``.
     """
 
     tag = "epinorminf"
@@ -472,34 +519,36 @@ class EpiNormInf(_SizedByD):
         return pt
 
     def _barrier(self, s):
-        u, w = s[0], s[1:]
-        return -float(np.sum(np.log(u * u - w * w))) + (self.d - 1) * math.log(u)
+        u = s[0]
+        return -float(np.sum(np.log(_arrow_r(u, s[1:])))) + (self.d - 1) * math.log(u)
 
     def grad(self, s):
         u, w = s[0], s[1:]
-        r = u * u - w * w
+        r = _arrow_r(u, w)
         g = np.empty(self.dim)
         g[0] = -2.0 * u * np.sum(1.0 / r) + (self.d - 1) / u
         g[1:] = 2.0 * w / r
         return g
 
-    def _arrow(self, s):
-        """The Hessian's corner, first-row tail and diagonal tail: [[a, b'], [b, Diag(D)]]."""
-        u, w = s[0], s[1:]
-        r = u * u - w * w
-        a = np.sum(-2.0 / r + 4.0 * u * u / r**2) - (self.d - 1) / u**2
-        return a, -4.0 * u * w / r**2, 2.0 / r + 4.0 * w * w / r**2
-
     def hess(self, s):
-        a, b, D = self._arrow(s)
+        A = self._factor(s)
         H = np.zeros((self.dim, self.dim))
-        H[0, 0] = a
-        H[0, 1:] = H[1:, 0] = b
-        H[1:, 1:] = np.diag(D)
+        H[0, 0] = A.a
+        H[0, 1:] = H[1:, 0] = A.b
+        H[1:, 1:] = np.diag(A.D)
         return H
 
-    def inv_hess_prod(self, s, V):
-        return _arrow_inv(s[0], s[1:], np.asarray(V, dtype=float))
+    def _factor(self, s):
+        u, w = s[0], s[1:]
+        return _Arrow(u, w, _arrow_r(u, w))
+
+    def hess_prod(self, s, V, factor=None):
+        A = self._factor(s) if factor is None else factor
+        return A.prod(np.asarray(V, dtype=float))
+
+    def inv_hess_prod(self, s, V, factor=None):
+        A = self._factor(s) if factor is None else factor
+        return A.inv(np.asarray(V, dtype=float))
 
 
 class EpiNormInfDual(EpiNormInf):
@@ -590,37 +639,61 @@ class EpiNormSpectral(Cone):
         H[1:, 1:] = Hww
         return 0.5 * (H + H.T)
 
-    def inv_hess_prod(self, pt, V):
-        # In the SVD coordinates of W = U diag(sig) Q', E -> U'E Q, the Hessian
-        # splits into the max-norm arrow on (u, E_ii), the 2 x 2 block
-        # (2/(z_i z_j)) [[u^2, sig_i sig_j], [sig_i sig_j, u^2]] on each pair
-        # (E_ij, E_ji) with i < j <= r, and 2/z_i on each E_ij with j > r,
-        # where z_i = u^2 - sig_i^2. The k right-hand sides are held as
-        # (s, r, k) arrays indexed [j, i, l], the layout of V's rows.
-        r, s = self.r, self.s
+    def _factor(self, pt):
+        """The full SVD W = U diag(sig) Q' and the coefficients of H and H^-1
+        in its coordinates, E -> U'E Q.
+
+        There the Hessian splits into the max-norm arrow on (u, E_ii), the
+        2 x 2 block (2/(z_i z_j)) [[u^2, sig_i sig_j], [sig_i sig_j, u^2]] on
+        each pair (E_ij, E_ji) with i < j <= r, and 2/z_i on each E_ij with
+        j > r, where z_i = u^2 - sig_i^2. For H and for H^-1 the
+        coefficients are the tail scale c, and C and S such that an
+        off-diagonal entry maps to C_ij (u^2 E_ij + S_ij E_ji).
+        """
         u = pt[0]
         U, sig, Qt = np.linalg.svd(self._mat(pt[1:]))
+        z = _arrow_r(u, sig)
+        ss = np.outer(sig, sig)
+        zz = np.outer(z, z)
+        # u^4 - (sig_i sig_j)^2 with u^2 - sig_i sig_j = (z_i + z_j + (sig_i - sig_j)^2)/2
+        gap = sig[:, None] - sig[None, :]
+        det = 0.5 * (z[:, None] + z[None, :] + gap * gap) * (u * u + ss)
+        coefs = (
+            (2.0 / z, (2.0 / zz)[:, :, None], ss[:, :, None]),
+            (0.5 * z, (0.5 * zz / det)[:, :, None], -ss[:, :, None]),
+        )
+        return U, Qt, _Arrow(u, sig, z), coefs
+
+    def _svd_apply(self, pt, V, factor, inverse):
+        """H V, or H^-1 V if ``inverse``, in the SVD coordinates of W.
+
+        The k right-hand sides are held as (s, r, k) arrays indexed [j, i, l],
+        the layout of V's rows. The pair formula's diagonal is overwritten by
+        the arrow.
+        """
+        r, s = self.r, self.s
+        U, Qt, arrow, coefs = self._factor(pt) if factor is None else factor
+        c, C, S = coefs[inverse]
         V2 = np.asarray(V, dtype=float).reshape(self.dim, -1)
         k = V2.shape[1]
         E = (Qt @ (U.T @ V2[1:].reshape(s, r, k)).reshape(s, r * k)).reshape(s, r, k)
-        z = (u - sig) * (u + sig)
         X = np.empty(E.shape)
-        X[r:] = (0.5 * z)[:, None] * E[r:]
-        # u^4 - (sig_i sig_j)^2 with u^2 - sig_i sig_j = (z_i + z_j + (sig_i - sig_j)^2)/2
-        ss = np.outer(sig, sig)
-        gap = sig[:, None] - sig[None, :]
-        det = 0.5 * (z[:, None] + z[None, :] + gap * gap) * (u * u + ss)
+        X[r:] = c[:, None] * E[r:]
         Er = E[:r]
-        X[:r] = (0.5 * np.outer(z, z) / det)[:, :, None] * (
-            u * u * Er - ss[:, :, None] * Er.transpose(1, 0, 2)
-        )
+        X[:r] = C * (pt[0] * pt[0] * Er + S * Er.transpose(1, 0, 2))
         i = np.arange(r)
-        arrow = _arrow_inv(u, sig, np.vstack((V2[:1], E[i, i])))
-        X[i, i] = arrow[1:]
+        lead = (arrow.inv if inverse else arrow.prod)(np.vstack((V2[:1], E[i, i])))
+        X[i, i] = lead[1:]
         out = np.empty((self.dim, k))
-        out[0] = arrow[0]
+        out[0] = lead[0]
         out[1:] = (U @ (Qt.T @ X.reshape(s, r * k)).reshape(s, r, k)).reshape(r * s, k)
         return out.reshape(np.shape(V))
+
+    def hess_prod(self, pt, V, factor=None):
+        return self._svd_apply(pt, V, factor, False)
+
+    def inv_hess_prod(self, pt, V, factor=None):
+        return self._svd_apply(pt, V, factor, True)
 
 
 class EpiNormSpectralDual(EpiNormSpectral):

@@ -15,8 +15,13 @@ proximity measure all read a block's two sides through it. ``_KKTSystem``
 eliminates the dz of every block: a dual-barrier block enters through
 products with the inverse of its Hessian, which ``_inv_hess_prod`` takes from
 the cone's closed form or else from a Cholesky of the Hessian, so the
-direction system is n x n. The line search orders each block's membership
-tests by cost.
+direction system is n x n. A product-form block, whose cone has closed-form
+Hessian products (``hess_prod`` and ``inv_hess_prod``: the max-norm and
+spectral-norm families and their duals), is served by those products alone:
+``_Oracles`` holds no dense Hessian for it, but the factor its products at
+that iterate share, and ``_hess_prod`` applies H in the Schur assembly of a
+primal-barrier block and in the residuals of the refinement step. The line
+search orders each block's membership tests by cost.
 
 ``solve`` iterates on the result of a chain of setup transforms:
 ``_eliminate`` removes the equality rows with one QR of A' (x = x0 + Q2 w),
@@ -217,11 +222,15 @@ class _Oracles:
     """Barrier gradients and Hessians of every block at one iterate.
 
     ``solve`` evaluates them once per iterate and hands the same object to
-    the proximity check and to the direction computed at that iterate. They
-    do not test the barrier domain: the line search's interiority test on
-    each block's barrier side is that test for every iterate it accepts, so
-    ``solve`` tests only its initial iterate. An oracle that still fails
-    raises _KKTError.
+    the proximity check and to the direction computed at that iterate. A
+    product-form block, one whose cone has closed-form Hessian products
+    (``K._factor`` is not None: the max-norm and spectral-norm families and
+    their duals), gets no dense Hessian: ``hesses`` holds None for it, and
+    ``factors`` holds what its products at this point share, such as the SVD
+    of a spectral block's W. The oracles do not test the barrier domain: the
+    line search's interiority test on each block's barrier side is that test
+    for every iterate it accepts, so ``solve`` tests only its initial
+    iterate. An oracle that still fails raises _KKTError.
     """
 
     def __init__(self, problem: ConicProblem, it: HSDEIterate):
@@ -229,26 +238,39 @@ class _Oracles:
         self.slices = problem.cone_slices()
         self.points = []  # each block's barrier side
         self.grads = []
+        self.factors = []
         self.hesses = []
         try:
             for K, sl in zip(problem.cones, self.slices):
                 pt = _sides(K, it.s[sl], it.z[sl])[0]
+                f = K._factor(pt)
                 self.points.append(pt)
                 self.grads.append(K.grad(pt))
-                self.hesses.append(K.hess(pt))
+                self.factors.append(f)
+                self.hesses.append(K.hess(pt) if f is None else None)
         except (NotInteriorError, np.linalg.LinAlgError) as exc:
             raise _KKTError("barrier oracle failed") from exc
 
 
-def _inv_hess_prod(K, pt, H, V):
-    """H^-1 V for one block, H = K.hess(pt): the cone's closed form, else a Cholesky of H.
+def _hess_prod(K, pt, H, f, V):
+    """H V for one block: the cone's closed form where ``_Oracles`` holds no dense H."""
+    return K.hess_prod(pt, V, f) if H is None else H @ V
+
+
+def _scaled_hess_prod(K, pt, H, f, mu, V):
+    """mu H V for one block, through ``_hess_prod``."""
+    return mu * _hess_prod(K, pt, H, f, V)
+
+
+def _inv_hess_prod(K, pt, H, f, V):
+    """H^-1 V for one block: the cone's closed form (given its factor f), else a Cholesky of H.
 
     Near convergence H has condition about 1/mu^2, where Cholesky can report
     numerical indefiniteness; H is then inverted through its
     eigendecomposition with a relative eigenvalue floor. A Hessian without a
     finite positive eigenvalue gives NaN.
     """
-    X = K.inv_hess_prod(pt, V)
+    X = K.inv_hess_prod(pt, V, f)
     if X is not None:
         return X
     Hs = 0.5 * (H + H.T)
@@ -262,9 +284,9 @@ def _inv_hess_prod(K, pt, H, V):
         return ((Q / w) @ Q.T) @ V
 
 
-def _scaled_inv_hess_prod(K, pt, H, mu, V):
+def _scaled_inv_hess_prod(K, pt, H, f, mu, V):
     """(mu H)^-1 V for one block, through ``_inv_hess_prod``."""
-    return _inv_hess_prod(K, pt, H, V) / mu
+    return _inv_hess_prod(K, pt, H, f, V) / mu
 
 
 def _complementarity_rhs(problem, it, oracles, mu, target):
@@ -282,9 +304,13 @@ class _KKTSystem:
 
     Eliminates ds (via the cone rows), dkappa (via the tau/kappa row) and the
     dz of every block, dz_b = p_b + M_b (G_b dx - h_b dtau): a primal-barrier
-    block has M_b = mu H(s_b), a dual-barrier block M_b = (mu H*(z_b))^-1,
-    applied through ``_inv_hess_prod`` to the columns [G_b, h_b] once per
-    call and to p_b's right-hand side once per solve. What
+    block has M_b = mu H(s_b), a dual-barrier block M_b = (mu H*(z_b))^-1.
+    A dense primal-barrier block multiplies by the matrix mu H. Every other
+    block is a map: ``_scaled_hess_prod`` for a product-form primal-barrier
+    block, ``_scaled_inv_hess_prod`` for a dual-barrier one. A map is applied
+    to the columns [G_b, h_b] once per call, which gives dz_b from the kept
+    columns, and to p_b's right-hand side once per solve; no dense Hessian of
+    a product-form block is read. What
     remains is the n x n Schur system S = sum_b G_b' M_b G_b, statically
     regularized, LU-factored once per call and solved for two right-hand
     sides to resolve the scalar dtau equation. It takes only problems without
@@ -304,19 +330,23 @@ class _KKTSystem:
         S = np.zeros((n, n), order="F")
         GMh = np.zeros(n)
         hMh = 0.0
-        # per block (slice, M_b, M_b [G_b, h_b]): M_b is the matrix mu H of a
-        # primal-barrier block, with no columns kept, or the map v -> (mu H)^-1 v
-        # of a dual-barrier block
+        # per block (slice, M_b, M_b [G_b, h_b], dual barrier): M_b is the
+        # matrix mu H of a dense primal-barrier block, with no columns kept, or
+        # the map v -> mu H v or v -> (mu H)^-1 v of any other block
         self.blocks = []
-        for K, sl, pt, H in zip(problem.cones, oracles.slices, oracles.points, oracles.hesses):
-            if K.uses_dual_barrier:
-                Mb = functools.partial(_scaled_inv_hess_prod, K, pt, H, mu)
+        for K, sl, pt, H, f in zip(
+            problem.cones, oracles.slices, oracles.points, oracles.hesses, oracles.factors
+        ):
+            dual = K.uses_dual_barrier
+            if dual or H is None:
+                prod = _scaled_inv_hess_prod if dual else _scaled_hess_prod
+                Mb = functools.partial(prod, K, pt, H, f, mu)
                 MGh = Mb(np.column_stack((G[sl], h[sl])))
                 MG, Mhb = MGh[:, :n], MGh[:, n]
             else:
                 Mb, MGh = mu * H, None
                 MG, Mhb = Mb @ G[sl], Mb @ h[sl]
-            self.blocks.append((sl, Mb, MGh))
+            self.blocks.append((sl, Mb, MGh, dual))
             S += G[sl].T @ MG
             GMh += G[sl].T @ Mhb
             hMh += float(h[sl] @ Mhb)
@@ -347,8 +377,11 @@ class _KKTSystem:
         u1 = r1.copy()
         hp = 0.0
         ps = []
-        for sl, Mb, MGh in self.blocks:
-            p = r5[sl] + Mb @ r3[sl] if MGh is None else Mb(r3[sl] + r5[sl])
+        for sl, Mb, MGh, dual in self.blocks:
+            if dual:
+                p = Mb(r3[sl] + r5[sl])
+            else:
+                p = r5[sl] + (Mb @ r3[sl] if MGh is None else Mb(r3[sl]))
             ps.append(p)
             u1 -= pr.G[sl].T @ p
             hp += float(pr.h[sl] @ p)
@@ -359,7 +392,7 @@ class _KKTSystem:
         Gdx = pr.G @ dx
         ds = -Gdx + pr.h * dtau - r3
         dz = np.empty(pr.q)
-        for (sl, Mb, MGh), p in zip(self.blocks, ps):
+        for (sl, Mb, MGh, _), p in zip(self.blocks, ps):
             if MGh is None:
                 dz[sl] = r5[sl] + Mb @ (Gdx[sl] - pr.h[sl] * dtau + r3[sl])
             else:
@@ -382,9 +415,10 @@ class _KKTSystem:
         row1, _, row3, row4 = _model_rows(pr, d.dx, d.dy, d.dz, d.dtau, d.ds, d.dkappa)
         e1, e3, e4 = r1 - row1, r3 - row3, r4 - row4
         e5 = np.empty(pr.q)
-        for K, sl, H in zip(pr.cones, self.oracles.slices, self.oracles.hesses):
+        orc = self.oracles
+        for K, sl, pt, H, f in zip(pr.cones, orc.slices, orc.points, orc.hesses, orc.factors):
             d_barrier, d_other = _sides(K, d.ds[sl], d.dz[sl])
-            e5[sl] = r5[sl] - (self.mu * (H @ d_barrier) + d_other)
+            e5[sl] = r5[sl] - (self.mu * _hess_prod(K, pt, H, f, d_barrier) + d_other)
         e6 = r6 - (it.kappa * d.dtau + it.tau * d.dkappa)
         return e1, e3, e4, e5, e6
 
@@ -508,17 +542,19 @@ def _proximity(problem, it, oracles, mu):
     """Scaled distance to the mu-center, measured in the local Hessian norms.
 
     A block's term psi' H^-1 psi comes from the cone's closed form where it
-    has one (nonneg, second-order, max-norm, spectral-norm, PSD and
-    perspective-log blocks, their dual-barrier variants and runs of them);
-    every other block takes psi' ``_inv_hess_prod``(psi).
+    has one (nonneg, second-order, PSD and perspective-log blocks and runs of
+    them); every other block takes psi' ``_inv_hess_prod``(psi), which a
+    product-form block (max-norm, spectral-norm and their duals) takes in
+    closed form from its factor.
     """
     total = (it.tau * it.kappa - mu) ** 2
-    for K, sl, pt, g, H in zip(
-        problem.cones, oracles.slices, oracles.points, oracles.grads, oracles.hesses
+    for K, sl, pt, g, H, f in zip(
+        problem.cones, oracles.slices, oracles.points, oracles.grads, oracles.hesses,
+        oracles.factors,
     ):
         psi = _sides(K, it.s[sl], it.z[sl])[1] + mu * g
-        quad = K.inv_hess_quad(pt, psi)
-        total += float(psi @ _inv_hess_prod(K, pt, H, psi)) if quad is None else quad
+        quad = K.inv_hess_quad(pt, psi) if f is None else None
+        total += float(psi @ _inv_hess_prod(K, pt, H, f, psi)) if quad is None else quad
     # near convergence the block Hessians are so ill-conditioned that
     # psi' H^-1 psi can round below zero or be NaN; treat that as far from
     # the center

@@ -124,3 +124,36 @@ def test_seed_is_passed_to_both_sides():
     assert cmd[1:] == [str(tree / "perfbench" / "run.py"), "--workload", "nf-kkt", "--seed", "3"]
     # without --seed run.py picks its default seed
     assert "--seed" not in ab.side_command(tree, "all")
+
+
+def test_several_seeds_are_taken_in_turn():
+    ab = load_ab_bench()
+    tree = Path("/some/tree")
+    seeds = [0, 3, 7]
+    got = [ab.pair_seed(seeds, pair) for pair in range(7)]
+    assert got == [0, 3, 7, 0, 3, 7, 0]
+    # both sides of a pair run at its seed
+    for side_tree in (tree, Path("/other/tree")):
+        assert ab.side_command(side_tree, "nf-kkt", ab.pair_seed(seeds, 4))[-2:] == ["--seed", "3"]
+    # one seed is every pair's seed; none leaves run.py's default
+    assert {ab.pair_seed([5], pair) for pair in range(3)} == {5}
+    assert ab.pair_seed(None, 2) is None
+    assert "--seed" not in ab.side_command(tree, "all", ab.pair_seed(None, 2))
+
+
+def test_pair_lines_name_the_seed():
+    ab = load_ab_bench()
+    runs = {"a": result(1.25), "b": result(0.5)}
+    assert ab.side_line(ab.pair_label(4, 7), "change", runs) == (
+        "pair 4 seed 7 change: solve_s a=1.2500 b=0.5000"
+    )
+    assert ab.pair_label(0, None) == "pair 0 seed default"
+
+
+def test_seed_option_takes_several_values(tmp_path, capsys):
+    ab = load_ab_bench()
+    # a base tree without perfbench/run.py is rejected after parsing; the
+    # parse accepts several seeds and starts no process
+    with pytest.raises(SystemExit):
+        ab.main(["--base", str(tmp_path), "--seed", "0", "3", "7"])
+    assert "perfbench/run.py not found" in capsys.readouterr().err

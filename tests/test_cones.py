@@ -283,13 +283,20 @@ def near_boundary_point(K, rng, eps):
     return pt
 
 
-def _exact_arrow_quad(pt, v):
-    """v' H^-1 v for the max-norm barrier's arrow Hessian, in exact rational arithmetic."""
-    u, w, v = Fraction(pt[0]), [Fraction(x) for x in pt[1:]], [Fraction(x) for x in v]
+def _exact_arrow(pt):
+    """(u, w, r, a, b, D) of the max-norm barrier's arrow Hessian at pt, in exact rationals."""
+    u, w = Fraction(pt[0]), [Fraction(x) for x in pt[1:]]
     r = [u * u - x * x for x in w]
     a = sum(-2 / ri + 4 * u * u / ri**2 for ri in r) - (len(w) - 1) / u**2
     b = [-4 * u * x / ri**2 for x, ri in zip(w, r)]
     D = [2 / ri + 4 * x * x / ri**2 for x, ri in zip(w, r)]
+    return u, w, r, a, b, D
+
+
+def _exact_arrow_quad(pt, v):
+    """v' H^-1 v for the max-norm barrier's arrow Hessian, in exact rational arithmetic."""
+    _, _, _, a, b, D = _exact_arrow(pt)
+    v = [Fraction(x) for x in v]
     schur = a - sum(bi * bi / Di for bi, Di in zip(b, D))
     lead = v[0] - sum(bi * vi / Di for bi, vi, Di in zip(b, v[1:], D))
     return sum(vi * vi / Di for vi, Di in zip(v[1:], D)) + lead * lead / schur
@@ -381,6 +388,80 @@ class TestInverseHessianProd:
     def test_other_cones_have_no_closed_form(self):
         for K in (C.HypoGeomean(2), C.Wsos(build_interp(1, 2).P)):
             assert K.inv_hess_prod(K.initial_point(), np.ones(K.dim)) is None
+
+
+PRODUCT_FORM_CONES = [
+    kind(d) for kind in (C.EpiNormInf, C.EpiNormInfDual) for d in (1, 2, 3, 5, 8)
+] + [
+    kind(r, s)
+    for kind in (C.EpiNormSpectral, C.EpiNormSpectralDual)
+    for r, s in SPECTRAL_SHAPES + [(15, 30)]
+]
+
+
+class TestHessianProd:
+    @pytest.mark.parametrize("K", PRODUCT_FORM_CONES, ids=repr)
+    def test_closed_form_matches_dense_hessian(self, K):
+        rng = np.random.default_rng(100 + K.dim)
+        for _ in range(3):
+            pt = sample_barrier_point(K, rng)
+            H = K.hess(pt)
+            for V in (rng.standard_normal(K.dim), rng.standard_normal((K.dim, 4))):
+                X = K.hess_prod(pt, V)
+                want = H @ V
+                assert X.shape == V.shape
+                assert np.max(np.abs(X - want)) <= 1e-12 * np.max(np.abs(want))
+                # the inverse product undoes it
+                back = K.inv_hess_prod(pt, X)
+                assert np.max(np.abs(back - V)) <= 1e-10 * np.max(np.abs(V))
+                # a factor computed once serves both products with the same bits
+                f = K._factor(pt)
+                assert np.array_equal(K.hess_prod(pt, V, f), X)
+                assert np.array_equal(K.inv_hess_prod(pt, X, f), back)
+
+    def test_other_cones_have_no_closed_form(self):
+        kinds = {type(K) for K in PRODUCT_FORM_CONES}
+        others = [K for K in small_catalog() if type(K) not in kinds]
+        others.append(C._Run(C.Nonneg(2), 3))
+        assert len(others) == len(small_catalog()) - 4 + 1
+        for K in others:
+            pt = K.initial_point()
+            assert K._factor(pt) is None, K
+            assert K.hess_prod(pt, np.ones(K.dim)) is None, K
+
+
+class TestMaxNormNearTheBoundary:
+    # u = max|w_i| (1 + eps): grad and hess_prod agree with an exact rational
+    # evaluation at the same float inputs; u^2 - w^2 formed in floats loses
+    # about log10(1/eps) digits of both
+
+    @staticmethod
+    def points(d):
+        K = C.EpiNormInf(d)
+        rng = np.random.default_rng(110 + d)
+        for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+            for _ in range(2):
+                yield K, eps, near_boundary_point(K, rng, eps), rng.standard_normal(K.dim)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_grad_is_exact(self, d):
+        for K, eps, pt, _ in self.points(d):
+            u, w, r, _, _, _ = _exact_arrow(pt)
+            g = [-2 * u * sum(1 / ri for ri in r) + (d - 1) / u]
+            g += [2 * x / ri for x, ri in zip(w, r)]
+            want = np.array([float(x) for x in g])
+            assert np.all(np.abs(K.grad(pt) - want) <= 1e-12 * np.abs(want)), eps
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_hess_prod_is_exact(self, d):
+        for K, eps, pt, v in self.points(d):
+            _, _, _, a, b, D = _exact_arrow(pt)
+            vq = [Fraction(x) for x in v]
+            Hv = [a * vq[0] + sum(bi * vi for bi, vi in zip(b, vq[1:]))]
+            Hv += [bi * vq[0] + Di * vi for bi, Di, vi in zip(b, D, vq[1:])]
+            want = np.array([float(x) for x in Hv])
+            got = K.hess_prod(pt, v)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), eps
 
 
 STACKABLE = [C.Nonneg, C.EpiNorm2, C.EpiPerSquare, C.HypoPerLog]

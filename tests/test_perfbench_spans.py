@@ -10,6 +10,9 @@ solve.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from natcone import solver
 from natcone.bench import InstanceSpec, build_instance
 
@@ -41,3 +44,24 @@ def test_traced_solve_matches_untraced():
     for tag in {K.tag for K in problem.cones}:
         for metric in ("member_s", "grad_s", "hess.calls"):
             assert layers[f"cones.{tag}.{metric}"] > 0, (tag, metric)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [("matcompletion", 2, 3, None, 0, "nf"), ("matregression", 5, 3, None, 0, "nf")],
+    ids=["matcompletion-nf", "matregression-nf"],
+)
+def test_traced_product_form_solve_matches_untraced(cell):
+    # the tracer wraps hess_prod of every cone class, also where the base
+    # class returns None; the solve must take the same path either way
+    spans = load_spans()
+    problem, _ = build_instance(InstanceSpec(*cell))
+    plain = solver.solve(problem)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = solver.solve(problem)
+    assert (traced.iterations, traced.primal_obj) == (plain.iterations, plain.primal_obj)
+    assert np.array_equal(traced.point.x, plain.point.x)
+    tag = problem.cones[0].tag
+    assert tracer.calls[f"cones.{tag}.hess_prod"] > 0
+    assert tracer.calls[f"cones.{tag}.hess"] == 0

@@ -318,6 +318,35 @@ class TestSolve:
         n = _reduced(prob).n
         assert shapes and set(shapes) == {(n, n)}
 
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            DUAL_BARRIER_MIXES["epinorminfdual"],
+            DUAL_BARRIER_MIXES["epinormspectraldual"],
+            [C.EpiNormInf(3), C.HypoGeomean(3)],
+            [C.Nonneg(2), C.EpiNormSpectral(2, 3)],
+        ],
+        ids=["epinorminfdual", "epinormspectraldual", "epinorminf", "epinormspectral"],
+    )
+    def test_no_dense_hessian_for_product_form_blocks(self, kinds, monkeypatch):
+        # the max-norm and spectral-norm families (and their duals) serve the
+        # solver through closed-form products alone
+        calls = []
+        for kind in (C.EpiNormInf, C.EpiNormSpectral):
+            for name in ("hess", "hess_prod"):
+                orig = getattr(kind, name)
+
+                def counting(K, *args, _orig=orig, _name=name):
+                    calls.append(_name)
+                    return _orig(K, *args)
+
+                monkeypatch.setattr(kind, name, counting)
+        prob = random_feasible(kinds, seed=1)
+        res = solve(prob)
+        assert res.status is SolveStatus.OPTIMAL
+        assert calls.count("hess") == 0
+        assert calls.count("hess_prod") > 0
+
     def test_determinism(self):
         prob = random_feasible([C.EpiNormInf(3), C.HypoGeomean(3)], seed=9)
         r1 = solve(prob)
