@@ -33,8 +33,11 @@ The catalog states each fact once:
   ``hess_prod`` and ``inv_hess_prod`` apply H and H^-1 without forming H;
   every product at one point can share its ``_factor`` (the arrow, and for
   the spectral norm also the SVD of W and the coefficients in its
-  coordinates). ``Cone.inv_hess_quad`` derives v' H^-1 v from
-  ``inv_hess_prod`` wherever a cone gives no own formula.
+  coordinates). ``PosSemidef`` applies its H and H^-1 as the congruences
+  svec(W^-1 V W^-1) and svec(W V W) (``sym.svec_kron_prod``); its
+  ``_factor`` is W^-1, which its gradient reads too. ``Cone.inv_hess_quad``
+  derives v' H^-1 v from ``inv_hess_prod`` wherever a cone gives no own
+  formula.
 - ``Nonneg``, ``EpiNorm2``, ``EpiPerSquare`` and ``HypoPerLog`` write their
   margins and barrier oracles to broadcast over a leading stack axis; a single
   block is the unstacked case. ``_Run`` evaluates a run of equal blocks of
@@ -47,7 +50,7 @@ import math
 
 import numpy as np
 
-from .sym import sdim, smat, svec, svec_kron
+from .sym import sdim, smat, svec, svec_kron, svec_kron_prod
 
 __all__ = [
     "Cone",
@@ -215,18 +218,27 @@ class Cone:
     def _barrier(self, pt):
         raise NotImplementedError
 
-    def grad(self, pt: np.ndarray) -> np.ndarray:
+    def grad(self, pt: np.ndarray, factor=None) -> np.ndarray:
+        """Barrier gradient at pt.
+
+        A cone with a ``_factor`` also takes ``factor``, which the solver
+        passes. The PSD gradient is read from it, computed here when not
+        given, so each PSD block is inverted once per iterate; the norm
+        families need none of theirs and ignore it.
+        """
         raise NotImplementedError
 
     def hess(self, pt: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _factor(self, pt: np.ndarray):
-        """What ``hess_prod`` and ``inv_hess_prod`` at pt share, or None where
-        the cone has no closed-form products.
+        """What ``grad``, ``hess_prod`` and ``inv_hess_prod`` at pt share, or
+        None where the cone has no closed-form products: the max-norm arrow,
+        the spectral-norm SVD and coefficients, or the PSD inverse W^-1.
 
         The solver computes it once per block and iterate and passes it to
-        every product at that point; a product not given it computes it.
+        the gradient and every product at that point; an oracle not given it
+        computes it.
         """
         return None
 
@@ -234,10 +246,12 @@ class Cone:
         """H(pt) V in closed form for V of shape (dim,) or (dim, k), or None
         where the cone has none.
 
-        The solver asks a block with this form for no dense Hessian: it
-        applies the product to the Schur columns of a primal-barrier block
-        and in the residuals of the direction system. ``factor`` is
-        ``_factor(pt)``, computed here when not given.
+        The max-norm, spectral-norm and PSD cones (and the two norm cones'
+        dual-barrier subclasses) have one. The solver asks a block with this
+        form for no dense Hessian: it applies the product to the Schur
+        columns of a primal-barrier block and in the residuals of the
+        direction system. ``factor`` is ``_factor(pt)``, computed here when
+        not given.
         """
         return None
 
@@ -406,7 +420,13 @@ class EpiPerSquare(_LogQuadratic):
 
 
 class PosSemidef(_SizedByD):
-    """Vectorized PSD cone of side d; barrier -logdet(W), nu = d."""
+    """Vectorized PSD cone of side d; barrier -logdet(W), nu = d.
+
+    Its ``_factor`` is the symmetrised W^-1, which also gives the gradient
+    -svec(W^-1). H maps svec(V) to svec(W^-1 V W^-1) and H^-1 maps it to
+    svec(W V W); ``hess_prod`` and ``inv_hess_prod`` apply both congruences
+    to a stack of columns without forming the sdim x sdim Hessian.
+    """
 
     tag = "possemidef"
 
@@ -429,11 +449,20 @@ class PosSemidef(_SizedByD):
     def _barrier(self, s):
         return -_logdet(smat(s))
 
-    def grad(self, s):
-        return -svec(_sym_inv(smat(s)), sym_tol=np.inf)
+    def grad(self, s, factor=None):
+        return -svec(self._factor(s) if factor is None else factor, sym_tol=np.inf)
 
     def hess(self, s):
-        return svec_kron(_sym_inv(smat(s)))
+        return svec_kron(self._factor(s))
+
+    def _factor(self, s):
+        return _sym_inv(smat(s))
+
+    def hess_prod(self, s, V, factor=None):
+        return svec_kron_prod(self._factor(s) if factor is None else factor, V)
+
+    def inv_hess_prod(self, s, V, factor=None):
+        return svec_kron_prod(smat(s), V)
 
     def inv_hess_quad(self, s, v):
         # H(s)^-1 maps svec(V) to svec(W V W), so with W = L L' the form is
@@ -522,7 +551,7 @@ class EpiNormInf(_SizedByD):
         u = s[0]
         return -float(np.sum(np.log(_arrow_r(u, s[1:])))) + (self.d - 1) * math.log(u)
 
-    def grad(self, s):
+    def grad(self, s, factor=None):
         u, w = s[0], s[1:]
         r = _arrow_r(u, w)
         g = np.empty(self.dim)
@@ -613,7 +642,7 @@ class EpiNormSpectral(Cone):
         u, W, Z = self._core(pt)
         return -_logdet(Z) + (self.r - 1) * math.log(u)
 
-    def grad(self, pt):
+    def grad(self, pt, factor=None):
         u, W, Z = self._core(pt)
         Zi = np.linalg.inv(Z)
         g = np.empty(self.dim)

@@ -16,12 +16,13 @@ eliminates the dz of every block: a dual-barrier block enters through
 products with the inverse of its Hessian, which ``_inv_hess_prod`` takes from
 the cone's closed form or else from a Cholesky of the Hessian, so the
 direction system is n x n. A product-form block, whose cone has closed-form
-Hessian products (``hess_prod`` and ``inv_hess_prod``: the max-norm and
-spectral-norm families and their duals), is served by those products alone:
-``_Oracles`` holds no dense Hessian for it, but the factor its products at
-that iterate share, and ``_hess_prod`` applies H in the Schur assembly of a
-primal-barrier block and in the residuals of the refinement step. The line
-search orders each block's membership tests by cost.
+Hessian products (``hess_prod`` and ``inv_hess_prod``: the max-norm,
+spectral-norm and PSD cones and the dual-barrier norm cones), is served by
+those products alone: ``_Oracles`` holds no dense Hessian for it, but the
+factor its gradient and products at that iterate share, and ``_hess_prod``
+applies H in the Schur assembly of a primal-barrier block and in the
+residuals of the refinement step. The line search orders each block's
+membership tests by cost.
 
 ``solve`` iterates on the result of a chain of setup transforms:
 ``_eliminate`` removes the equality rows with one QR of A' (x = x0 + Q2 w),
@@ -224,10 +225,11 @@ class _Oracles:
     ``solve`` evaluates them once per iterate and hands the same object to
     the proximity check and to the direction computed at that iterate. A
     product-form block, one whose cone has closed-form Hessian products
-    (``K._factor`` is not None: the max-norm and spectral-norm families and
-    their duals), gets no dense Hessian: ``hesses`` holds None for it, and
-    ``factors`` holds what its products at this point share, such as the SVD
-    of a spectral block's W. The oracles do not test the barrier domain: the
+    (``K._factor`` is not None: the max-norm, spectral-norm and PSD cones
+    and the dual-barrier norm cones), gets no dense Hessian: ``hesses`` holds
+    None for it, and ``factors`` holds what its gradient and products at
+    this point share, such as the SVD of a spectral block's W or the inverse
+    of a PSD block's W. The oracles do not test the barrier domain: the
     line search's interiority test on each block's barrier side is that test
     for every iterate it accepts, so ``solve`` tests only its initial
     iterate. An oracle that still fails raises _KKTError.
@@ -245,7 +247,7 @@ class _Oracles:
                 pt = _sides(K, it.s[sl], it.z[sl])[0]
                 f = K._factor(pt)
                 self.points.append(pt)
-                self.grads.append(K.grad(pt))
+                self.grads.append(K.grad(pt) if f is None else K.grad(pt, f))
                 self.factors.append(f)
                 self.hesses.append(K.hess(pt) if f is None else None)
         except (NotInteriorError, np.linalg.LinAlgError) as exc:
@@ -307,11 +309,11 @@ class _KKTSystem:
     block has M_b = mu H(s_b), a dual-barrier block M_b = (mu H*(z_b))^-1.
     A dense primal-barrier block multiplies by the matrix mu H. Every other
     block is a map: ``_scaled_hess_prod`` for a product-form primal-barrier
-    block, ``_scaled_inv_hess_prod`` for a dual-barrier one. A map is applied
-    to the columns [G_b, h_b] once per call, which gives dz_b from the kept
-    columns, and to p_b's right-hand side once per solve; no dense Hessian of
-    a product-form block is read. What
-    remains is the n x n Schur system S = sum_b G_b' M_b G_b, statically
+    block (max-norm, spectral-norm and PSD), ``_scaled_inv_hess_prod`` for a
+    dual-barrier one. A map is applied to the columns [G_b, h_b] once per
+    call, which gives dz_b from the kept columns, and to p_b's right-hand
+    side once per solve; no dense Hessian of a product-form block is read.
+    What remains is the n x n Schur system S = sum_b G_b' M_b G_b, statically
     regularized, LU-factored once per call and solved for two right-hand
     sides to resolve the scalar dtau equation. It takes only problems without
     equality rows, as ``_eliminate`` leaves them, so the direction's dy is
@@ -542,10 +544,11 @@ def _proximity(problem, it, oracles, mu):
     """Scaled distance to the mu-center, measured in the local Hessian norms.
 
     A block's term psi' H^-1 psi comes from the cone's closed form where it
-    has one (nonneg, second-order, PSD and perspective-log blocks and runs of
+    has one (nonneg, second-order and perspective-log blocks and runs of
     them); every other block takes psi' ``_inv_hess_prod``(psi), which a
-    product-form block (max-norm, spectral-norm and their duals) takes in
-    closed form from its factor.
+    product-form block (max-norm, spectral-norm, PSD and the dual-barrier
+    norm cones) takes in closed form, so a PSD block's term is
+    psi' svec(W Psi W) with no factorization.
     """
     total = (it.tau * it.kappa - mu) ** 2
     for K, sl, pt, g, H, f in zip(

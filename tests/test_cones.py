@@ -396,7 +396,7 @@ PRODUCT_FORM_CONES = [
     kind(r, s)
     for kind in (C.EpiNormSpectral, C.EpiNormSpectralDual)
     for r, s in SPECTRAL_SHAPES + [(15, 30)]
-]
+] + [C.PosSemidef(d) for d in (1, 2, 3, 5, 8)]
 
 
 class TestHessianProd:
@@ -423,11 +423,19 @@ class TestHessianProd:
         kinds = {type(K) for K in PRODUCT_FORM_CONES}
         others = [K for K in small_catalog() if type(K) not in kinds]
         others.append(C._Run(C.Nonneg(2), 3))
-        assert len(others) == len(small_catalog()) - 4 + 1
+        assert len(others) == len(small_catalog()) - 5 + 1
         for K in others:
             pt = K.initial_point()
             assert K._factor(pt) is None, K
             assert K.hess_prod(pt, np.ones(K.dim)) is None, K
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_psd_grad_from_factor_is_bitwise(self, d):
+        K = C.PosSemidef(d)
+        rng = np.random.default_rng(120 + d)
+        for _ in range(3):
+            pt = sample_barrier_point(K, rng)
+            assert np.array_equal(K.grad(pt, K._factor(pt)), K.grad(pt))
 
 
 class TestMaxNormNearTheBoundary:

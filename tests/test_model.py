@@ -110,6 +110,21 @@ class TestSvecSmat:
             with pytest.raises(ValueError):
                 a[0] = 1
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_smat_matches_scatter_reference(self, d):
+        def reference(w):
+            rows, cols = _svec_indices(d)
+            vals = w.copy()
+            vals[rows < cols] /= _SQRT2
+            M = np.zeros((d, d))
+            M[rows, cols] = vals
+            M[cols, rows] = vals
+            return M
+
+        rng = np.random.default_rng(80 + d)
+        for w in (rng.standard_normal(sdim(d)), np.arange(sdim(d), dtype=float) - 1.5):
+            assert np.array_equal(smat(w), reference(w))
+
 
 class TestValidate:
     def test_consistent_lp(self):

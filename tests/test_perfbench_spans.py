@@ -36,8 +36,11 @@ def test_traced_solve_matches_untraced():
         traced = solver.solve(problem)
     assert solver.compute_directions is original
     assert (traced.iterations, traced.primal_obj) == (plain.iterations, plain.primal_obj)
-    for name in ("solver.directions", "linalg.lu_factor", "sym.svec", "cones.possemidef.hess"):
+    # the PSD blocks are served by products: no dense Hessian is built
+    for name in ("solver.directions", "linalg.lu_factor", "sym.svec",
+                 "cones.possemidef.hess_prod"):
         assert tracer.calls[name] > 0, name
+    assert tracer.calls["cones.possemidef.hess"] == 0
     # every oracle layer of every cone in the instance is attributed: a public
     # helper called by a membership test would move its time out of member_s
     layers = tracer.layers(traced.iterations)
